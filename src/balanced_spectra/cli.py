@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -61,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, help="histogram bins")
     p.add_argument("--range", dest="hist_range", type=str, help="LO,HI or 'auto'")
     p.add_argument("--eps", type=float, help="trim fraction for balanced submatrices")
-    p.add_argument("--tol", type=float, help="eigensolver off-diagonal tolerance")
     p.add_argument("--dump-matrices", action="store_true", default=None, help="also write entry CSVs")
     common(p, out_required=True)
 
@@ -96,7 +96,7 @@ _DEFAULTS = {
     "simulate": {
         "kind": "bt", "n": 400, "reps": 15, "dist": "normal", "seed": 42,
         "bins": DEFAULT_BINS, "hist_range": f"{DEFAULT_RANGE[0]},{DEFAULT_RANGE[1]}",
-        "eps": 0.0, "tol": 1e-12, "dump_matrices": False, "threads": None,
+        "eps": 0.0, "dump_matrices": False, "threads": None,
     },
     "moments": {
         "kind": "bt", "n": 200, "reps": 15, "dist": "normal", "seed": 42,
@@ -125,11 +125,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(merged) - {"out"}
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            default = merged.get(key)
+            if isinstance(default, (int, float)) and not isinstance(default, bool):
+                allowed = int if isinstance(default, int) else (int, float)
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise UsageError(f"config key {key!r} must be of type {type(default).__name__}, got {value!r}")
         merged.update(file_cfg)
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if merged.get("threads") is not None:
+        _validate_positive(merged, ["threads"])
     merged["out"] = getattr(args, "out", None) or merged.get("out")
     merged["command"] = command
     return merged
@@ -138,17 +146,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _parse_range(text) -> tuple[float, float] | None:
     if text is None:
         return DEFAULT_RANGE
-    if isinstance(text, (list, tuple)):
-        lo, hi = float(text[0]), float(text[1])
-    else:
-        stripped = str(text).strip().lower()
-        if stripped == "auto":
-            return None
-        try:
-            lo_s, hi_s = stripped.split(",")
-            lo, hi = float(lo_s), float(hi_s)
-        except ValueError as exc:
-            raise UsageError(f"--range must be LO,HI or 'auto', got {text!r}") from exc
+    if str(text).strip().lower() == "auto":
+        return None
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    try:
+        lo, hi = (float(part) for part in parts)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--range must be LO,HI or 'auto', got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise UsageError(f"--range must satisfy LO < HI, got {text!r}")
     return lo, hi
@@ -172,7 +178,7 @@ def _parse_eps_ladder(text) -> tuple[float, ...] | None:
 def _validate_positive(cfg: dict, keys: list[str]) -> None:
     for key in keys:
         value = cfg.get(key)
-        if value is None or int(value) < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise UsageError(f"--{key.replace('_', '-')} must be a positive integer, got {value!r}")
 
 
@@ -208,7 +214,7 @@ def cmd_simulate(cfg: dict) -> int:
     t0 = time.perf_counter()
     spectra_list = simulate_spectra(
         kind, dist, int(cfg["n"]), int(cfg["reps"]), seed,
-        eps=eps, tol=float(cfg["tol"]), threads=cfg.get("threads"),
+        eps=eps, threads=cfg.get("threads"),
     )
     t_solve = time.perf_counter() - t0
 
@@ -265,7 +271,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_moments(cfg: dict) -> int:
-    _validate_positive(cfg, ["n", "reps", "k_max"])
+    _validate_positive(cfg, ["n", "reps", "k_max", "samples"])
     kind = MatrixKind.parse(cfg["kind"])
     dist = Distribution.parse(cfg["dist"])
     t0 = time.perf_counter()
@@ -297,7 +303,7 @@ def cmd_moments(cfg: dict) -> int:
 
 
 def cmd_limit(cfg: dict) -> int:
-    _validate_positive(cfg, ["k"])
+    _validate_positive(cfg, ["k", "samples", "grid"])
     kind = MatrixKind.parse(cfg["kind"])
     method = str(cfg["method"])
     if method not in ("mc-ladder", "quadrature"):

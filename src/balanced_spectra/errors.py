@@ -18,10 +18,9 @@ class ResourceLimitError(BalancedSpectraError):
 
 
 class SolverFailureError(BalancedSpectraError, RuntimeError):
-    """Eigenvalue iteration failed to converge.
+    """The eigensolver failed to converge or broke a trace identity.
 
-    ``index`` identifies the eigenvalue position the QL sweep was working
-    on when the iteration cap was hit.
+    ``index`` optionally names the eigenvalue position at fault.
     """
 
     def __init__(self, message, index=None):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigh import DEFAULT_TOL
 from .inputs import Distribution, derive_seed, generate_sequence
 from .matgen import MatrixKind, build_matrix, needed_length, principal_submatrix
 from .parallel import parallel_map
@@ -21,14 +20,14 @@ def realization_matrix(kind: MatrixKind, dist: Distribution, n: int, seed: int, 
 
 
 def _solve_task(args) -> Spectrum:
-    kind_value, dist_value, n, seed, eps, tol, index = args
+    kind_value, dist_value, n, seed, eps, index = args
     mat = realization_matrix(
         MatrixKind(kind_value), Distribution(dist_value), n, seed, eps
     )
     extra = {"realization": index}
     if eps > 0.0:
         extra["eps"] = eps
-    return eigenvalues_symmetric(mat, tol=tol, extra_source=extra)
+    return eigenvalues_symmetric(mat, extra_source=extra)
 
 
 def simulate_spectra(
@@ -38,12 +37,11 @@ def simulate_spectra(
     reps: int,
     master_seed: int,
     eps: float = 0.0,
-    tol: float = DEFAULT_TOL,
     threads: int | None = None,
 ) -> list[Spectrum]:
     """Solve ``reps`` independent realizations; deterministic in ``master_seed``."""
     tasks = [
-        (kind.value, dist.value, n, derive_seed(master_seed, r), eps, tol, r)
+        (kind.value, dist.value, n, derive_seed(master_seed, r), eps, r)
         for r in range(reps)
     ]
     return parallel_map(_solve_task, tasks, workers=threads)

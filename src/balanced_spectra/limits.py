@@ -218,6 +218,8 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     lo, hi = _box(ctx.link, eps)
     if eps <= 0.0:
         raise InvalidArgumentError("plain Monte Carlo needs eps > 0 (bounded integrand)")
+    if samples < 1 or batches < 1:
+        raise InvalidArgumentError(f"samples and batches must be >= 1, got {samples} and {batches}")
     per_batch = max(1, int(math.ceil(samples / batches)))
     vol = (hi - lo) ** (ctx.k + 1)
     rng = np.random.Generator(np.random.PCG64(seed))

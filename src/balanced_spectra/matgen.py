@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
 from .inputs import InputSequence
@@ -96,19 +97,21 @@ def build_matrix(kind: MatrixKind, seq: InputSequence, n: int) -> PatternedMatri
         raise InvalidArgumentError(
             f"sequence too short for {kind.value} n={n}: need {need}, have {seq.length}"
         )
-    idx = np.arange(n)
+    # Scale each variable once, then lay the scaled sequence out as the n
+    # windows of length n of one line: no n x n index or count arrays.
+    values = seq.values[:need]
     if kind.link is MatrixKind.T:
-        pattern = np.abs(idx[:, None] - idx[None, :])
-        values = seq.values[pattern]
-        counts = n - pattern
+        counts = n - np.arange(n)  # x_k fills the diagonals |i-j| = k
     else:
-        pattern = idx[:, None] + idx[None, :] + 1  # i + j - 1 for 1-based i, j
-        values = seq.values[pattern - 1]
-        counts = np.minimum(pattern, 2 * n - pattern)
-    if kind.balanced:
-        entries = values / np.sqrt(counts)
+        m = np.arange(1, need + 1)  # x_m fills the anti-diagonal i+j-1 = m
+        counts = np.minimum(m, 2 * n - m)
+    scaled = values / np.sqrt(counts) if kind.balanced else values / math.sqrt(n)
+    if kind.link is MatrixKind.T:
+        # row i (0-based) reads x_{n-1} .. x_1 x_0 x_1 .. x_{n-1} from offset n-1-i
+        line = np.concatenate([scaled[:0:-1], scaled])
+        entries = sliding_window_view(line, n)[::-1].copy()
     else:
-        entries = values / math.sqrt(n)
+        entries = sliding_window_view(scaled, n).copy()
     return PatternedMatrix(
         kind=kind, n=n, parent_n=n, entries=entries, source_seed=seq.seed
     )

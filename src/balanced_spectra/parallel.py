@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from .errors import InvalidArgumentError
 
@@ -19,15 +17,17 @@ ENV_THREADS = "BALANCED_SPECTRA_THREADS"
 
 def resolve_workers(threads: int | None = None) -> int:
     """Explicit count, else the BALANCED_SPECTRA_THREADS env var, else all cores."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(ENV_THREADS)
-    if env:
+    if threads is None:
+        env = os.environ.get(ENV_THREADS)
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise InvalidArgumentError(f"{ENV_THREADS}={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise InvalidArgumentError(f"worker count must be >= 1, got {threads}")
+    return int(threads)
 
 
 def parallel_map(fn, items, workers: int | None = None) -> list:
@@ -45,6 +45,11 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
         pickle.dumps(fn)
     except (pickle.PicklingError, AttributeError, TypeError):
         return [fn(item) for item in items]
+    # imported on first fan-out: serial runs and plain imports of the package
+    # then never load multiprocessing, which costs about 1 MB of RSS
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=min(count, len(items))) as pool:
             chunk = max(1, len(items) // (4 * count))

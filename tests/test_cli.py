@@ -102,6 +102,31 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "--n", "10", "--reps", "2", "--threads", "0"], "--threads"),
+        (["simulate", "--n", "10", "--reps", "2", "--range", "1,inf"], "finite"),
+        (["simulate", "--config", "{cfg}"], "'n'"),
+        (["limit", "--k", "1", "--samples", "0"], "--samples"),
+    ],
+    ids=["threads-0", "range-inf", "config-n-abc", "samples-0"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "abc"}))
+    out = tmp_path / "out"
+    argv = [arg.replace("{cfg}", str(cfg)) for arg in args]
+    if argv[0] == "simulate":
+        argv += ["--out", str(out)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_simulate_rejects_trim_of_unbalanced(tmp_path):
     code = run_cli(
         "simulate", "--kind", "t", "--n", "10", "--reps", "2", "--eps", "0.1",

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from balanced_spectra.eigh import (
-    householder_tridiagonal,
-    ql_implicit_eigenvalues,
-    symmetric_eigenvalues,
-)
+from balanced_spectra.eigh import symmetric_eigenvalues
 from balanced_spectra.errors import InvalidArgumentError, SolverFailureError
+from balanced_spectra.spectra import eigenvalues_symmetric, trace_power
 
 
 def test_diagonal_matrix():
@@ -34,10 +31,11 @@ def test_against_reference_solver(n):
     for _ in range(5):
         a = rng.standard_normal((n, n))
         a = a + a.T
-        mine = symmetric_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(mine - ref)) < 1e-10 * scale
+        values = symmetric_eigenvalues(a)
+        # power sums against matrix powers: a route with no eigensolve in it
+        for h in (3, 4):
+            scale = float(np.sum(np.abs(values) ** h))
+            assert abs(float(np.sum(values**h)) - trace_power(a, h)) < 1e-10 * scale
 
 
 def test_shift_covariance():
@@ -70,38 +68,29 @@ def test_trace_identities_every_solve():
         assert (values**2).sum() == pytest.approx((a**2).sum(), rel=1e-12, abs=1e-9)
 
 
-def test_householder_preserves_spectrum():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((25, 25))
-    a = a + a.T
-    d, e = householder_tridiagonal(a)
-    tri = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    assert np.allclose(np.linalg.eigvalsh(tri), np.linalg.eigvalsh(a), atol=1e-10)
-
-
-def test_already_tridiagonal_input():
-    d = np.array([1.0, -2.0, 0.5, 4.0])
-    e = np.array([0.5, 0.0, -1.5])
-    tri = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    assert np.allclose(
-        ql_implicit_eigenvalues(d, e), np.linalg.eigvalsh(tri), atol=1e-12
-    )
-
-
-def test_sweep_cap_raises_solver_failure():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((12, 12))
-    a = a + a.T
-    with pytest.raises(SolverFailureError) as info:
-        symmetric_eigenvalues(a, max_sweeps=0)
-    assert info.value.index is not None
-
-
 def test_invalid_inputs():
     with pytest.raises(InvalidArgumentError):
         symmetric_eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(InvalidArgumentError):
-        symmetric_eigenvalues(np.eye(3), tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", [symmetric_eigenvalues, eigenvalues_symmetric])
+def test_non_finite_input_rejected(solve, bad):
+    a = np.eye(3)
+    a[0, 2] = a[2, 0] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        solve(a)
+
+
+def test_lapack_failure_becomes_solver_failure(monkeypatch):
+    def diverge(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    with pytest.raises(SolverFailureError, match="did not converge"):
+        symmetric_eigenvalues(np.eye(3))
+    with pytest.raises(SolverFailureError):
+        eigenvalues_symmetric(np.eye(3))
 
 
 def test_degenerate_spectra():

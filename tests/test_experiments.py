@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,6 +61,23 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("BALANCED_SPECTRA_THREADS", "zebra")
     with pytest.raises(InvalidArgumentError):
         resolve_workers()
+    monkeypatch.setenv("BALANCED_SPECTRA_THREADS", "0")
+    with pytest.raises(InvalidArgumentError):
+        resolve_workers()
+    with pytest.raises(InvalidArgumentError):
+        resolve_workers(0)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("9", "9")])
+def test_import_sets_openblas_thread_timeout(preset, expected):
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", "import os, balanced_spectra; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == expected
 
 
 def test_format_float_round_trip():

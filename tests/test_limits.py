@@ -171,6 +171,14 @@ def test_truncated_validation():
         truncated_word_moment(Word("aabbccdd"), MatrixKind.T, 0.1, "quadrature")
 
 
+@pytest.mark.parametrize("budget", [{"samples": 0}, {"batches": 0}, {"samples": -5}])
+def test_monte_carlo_budget_must_be_positive(budget):
+    with pytest.raises(InvalidArgumentError):
+        truncated_word_moment(AA, MatrixKind.T, 0.1, **budget)
+    with pytest.raises(InvalidArgumentError):
+        limit_moment(1, MatrixKind.T, "mc-ladder", **budget)
+
+
 # --- limiting moments ------------------------------------------------------
 
 

@@ -71,6 +71,18 @@ def test_balanced_hankel_2x2_layout():
     assert np.array_equal(mat.entries, expected)
 
 
+@pytest.mark.parametrize("kind", list(MatrixKind))
+def test_every_entry_matches_its_definition(kind):
+    n = 7
+    seq = generate_sequence(Distribution.STANDARD_NORMAL, needed_length(kind, n), 17)
+    mat = build_matrix(kind, seq, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            var = abs(i - j) if kind.link is MatrixKind.T else i + j - 2  # 0-based sequence position
+            count = occurrence_count(kind, n, i, j) if kind.balanced else n
+            assert mat.entries[i - 1, j - 1] == seq.values[var] / math.sqrt(count)
+
+
 def test_unbalanced_toeplitz_uniform_scaling():
     mat = build_matrix(MatrixKind.T, _seq([1.0, 1.0, 1.0]), 3)
     assert np.allclose(mat.entries, 1 / math.sqrt(3))
