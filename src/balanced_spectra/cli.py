@@ -122,14 +122,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {config_path}: {exc}") from exc
-        unknown = set(file_cfg) - set(merged) - {"out"}
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"config {config_path} must hold a JSON object, got {file_cfg!r}")
+        # a manifest's config block names its subcommand; replaying it elsewhere is an error
+        if file_cfg.get("command", command) != command:
+            raise UsageError(f"config {config_path} is for {file_cfg['command']!r}, not {command!r}")
+        unknown = set(file_cfg) - set(merged) - {"out", "command"}
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in file_cfg.items():
             default = merged.get(key)
-            if isinstance(default, (int, float)) and not isinstance(default, bool):
-                allowed = int if isinstance(default, int) else (int, float)
-                if isinstance(value, bool) or not isinstance(value, allowed):
+            if isinstance(default, (int, float)):  # bool defaults included: bool is an int
+                allowed = (int, float) if isinstance(default, float) else type(default)
+                if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
                     raise UsageError(f"config key {key!r} must be of type {type(default).__name__}, got {value!r}")
         merged.update(file_cfg)
     for key in merged:
@@ -163,13 +168,11 @@ def _parse_range(text) -> tuple[float, float] | None:
 def _parse_eps_ladder(text) -> tuple[float, ...] | None:
     if text is None:
         return None
-    if isinstance(text, (list, tuple)):
-        values = [float(v) for v in text]
-    else:
-        try:
-            values = [float(v) for v in str(text).split(",") if v.strip()]
-        except ValueError as exc:
-            raise UsageError(f"--eps-ladder must be a comma list of floats, got {text!r}") from exc
+    parts = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v.strip()]
+    try:
+        values = [float(v) for v in parts]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--eps-ladder must be a comma list of floats, got {text!r}") from exc
     if not values or not all(0.0 < v < 1.0 for v in values):
         raise UsageError("ladder epsilons must lie in (0, 1)")
     return tuple(values)

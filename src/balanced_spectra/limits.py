@@ -7,10 +7,9 @@ limiting moment is
     E[ 1(all dependent forms lie in the unit interval)
        / prod_{i in S, i>0} occ(L_{i-1}(U_S), U_i) ]
 
-with independent U(0,1) coordinates on S, where occ is the limiting
-occurrence fraction of the pattern (1-|x-y| for Toeplitz,
-min(x+y, 2-x-y) for Hankel).  Hankel words that are not parity-symmetric
-contribute exactly zero.
+with independent U(0,1) coordinates on S, where occ is the pattern's
+limiting occurrence fraction (``matgen.occurrence_fraction``).  Hankel
+words that are not parity-symmetric contribute exactly zero.
 
 Three evaluation routes are provided and cross-checked against each other:
 
@@ -28,24 +27,29 @@ Three evaluation routes are provided and cross-checked against each other:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .inputs import derive_seed
-from .matgen import MatrixKind
+from .experiments import simulate_spectra
+from .inputs import Distribution, derive_seed
+from .matgen import MatrixKind, occurrence_counts, occurrence_fraction, submatrix_window, trimmed_interval
 from .parallel import parallel_map
+from .spectra import moment
 from .words import Word, enumerate_pair_matched_words, form_matrix, generating_vertices, is_symmetric, linear_forms
 
 EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 EPS_LADDER_DEEP = (0.3, 0.2, 0.15, 0.1, 0.05, 0.025)
 DEFAULT_SAMPLES = 2_000_000
-DEFAULT_BATCHES = 16
 DEFAULT_GRID = 64
-DEFAULT_GRADING = 0.7
+BATCHES = 16  # median-of-means batches per Monte Carlo rung
+GRADING = 0.7  # geometric cell ratio of the quadrature mesh
+TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
+TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
 QUADRATURE_MAX_K = 3
 ENUMERATION_BUDGET = 10**9
 _CHUNK = 1 << 20
@@ -68,62 +72,24 @@ class MomentEstimate:
     params: dict = field(default_factory=dict)
     word: Word | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method.value,
-            "params": _jsonable(self.params),
-        }
-        if self.word is not None:
-            out["word"] = self.word.letters
-        return out
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
 
 class _WordContext:
     """Precomputed evaluation data for one (word, pattern) pair."""
 
-    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "closure", "symmetric", "k")
+    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "symmetric", "k")
 
     def __init__(self, word: Word, kind: MatrixKind):
         self.word = word
         self.link = kind.link
-        forms, closure = linear_forms(word, kind)
+        forms, _ = linear_forms(word, kind)
         self.coeffs = form_matrix(forms)  # (2k+1, k+1)
         vertices = generating_vertices(word)
         col_of = {v: i for i, v in enumerate(vertices)}
-        n_pos = word.length
-        self.dependent = [i for i in range(1, n_pos) if i not in col_of]
+        self.dependent = [i for i in range(1, word.length) if i not in col_of]
         # one occurrence factor per generating position i > 0: occ(L_{i-1}, x_i)
         self.gen_pairs = [(i - 1, col_of[i]) for i in vertices if i > 0]
-        self.closure = closure
         self.symmetric = is_symmetric(word)
         self.k = word.k
-
-
-def _occ_fraction(link: MatrixKind, a, b):
-    """Limiting occurrence fraction on the unit square."""
-    if link is MatrixKind.T:
-        return 1.0 - np.abs(a - b)
-    return np.minimum(a + b, 2.0 - a - b)
-
-
-def _box(link: MatrixKind, eps: float) -> tuple[float, float]:
-    if not 0.0 <= eps < 1.0:
-        raise InvalidArgumentError("eps must lie in [0, 1)")
-    if link is MatrixKind.T:
-        return 0.0, 1.0 - eps
-    return eps / 2.0, 1.0 - eps / 2.0
 
 
 def _integrand_on(ctx: _WordContext, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -135,7 +101,7 @@ def _integrand_on(ctx: _WordContext, x: np.ndarray, lo: float, hi: float) -> np.
         mask &= (col >= lo) & (col <= hi)
     denom = np.ones(x.shape[0])
     for row, col in ctx.gen_pairs:
-        denom *= _occ_fraction(ctx.link, lvals[:, row], x[:, col])
+        denom *= occurrence_fraction(ctx.link, lvals[:, row], x[:, col])
     out = np.zeros(x.shape[0])
     np.divide(1.0, denom, out=out, where=mask & (denom > 0.0))
     return out
@@ -162,14 +128,7 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
             f"finite-n enumeration n^(k+1) = {n}^{k + 1} exceeds {ENUMERATION_BUDGET:.0e}"
         )
     ctx = _WordContext(word, kind)
-    link = kind.link
-    if eps == 0.0:
-        lo_i, hi_i = 1, n
-    elif link is MatrixKind.T:
-        lo_i, hi_i = 1, int(math.ceil(n * (1.0 - eps) - 1e-9))
-    else:
-        trim = int(math.floor(n * eps / 2.0 + 1e-9))
-        lo_i, hi_i = trim + 1, n - trim
+    lo_i, hi_i = submatrix_window(kind, n, eps)
     win = hi_i - lo_i + 1
     if win < 1:
         raise InvalidArgumentError(f"eps={eps} leaves no indices at n={n}")
@@ -192,13 +151,7 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
         ls = lvals[mask]
         denom = np.ones(xs.shape[0])
         for row, col in ctx.gen_pairs:
-            a = ls[:, row]
-            b = xs[:, col]
-            if link is MatrixKind.T:
-                occ = n - np.abs(a - b)
-            else:
-                occ = np.minimum(a + b - 1, 2 * n - a - b + 1)
-            denom *= occ / n
+            denom *= occurrence_counts(kind, n, ls[:, row], xs[:, col]) / n
         acc += float(np.sum(1.0 / denom))
     value = acc / float(n) ** (k + 1)
     return MomentEstimate(
@@ -215,11 +168,13 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
 
 
 def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int) -> tuple[float, float]:
-    lo, hi = _box(ctx.link, eps)
+    lo, hi = trimmed_interval(ctx.link, eps)
     if eps <= 0.0:
         raise InvalidArgumentError("plain Monte Carlo needs eps > 0 (bounded integrand)")
-    if samples < 1 or batches < 1:
-        raise InvalidArgumentError(f"samples and batches must be >= 1, got {samples} and {batches}")
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    if batches < 2:
+        raise InvalidArgumentError(f"batches must be >= 2 for a standard error, got {batches}")
     per_batch = max(1, int(math.ceil(samples / batches)))
     vol = (hi - lo) ** (ctx.k + 1)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -228,7 +183,7 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
         x = rng.uniform(lo, hi, size=(per_batch, ctx.k + 1))
         means[b] = _integrand_on(ctx, x, lo, hi).mean()
     value = float(np.median(means)) * vol
-    se = float(np.std(means, ddof=1) / math.sqrt(batches)) * vol if batches > 1 else 0.0
+    se = float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
     return value, se
 
 
@@ -236,11 +191,11 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
 # graded-mesh tensor quadrature
 
 
-def _graded_axis(cells: int, grading: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _graded_axis(cells: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-point Gauss nodes/weights on a mesh graded toward both endpoints."""
     cells = max(2, cells + (cells % 2))
     half = cells // 2
-    w = grading ** np.arange(half - 1, -1, -1, dtype=np.float64)
+    w = GRADING ** np.arange(half - 1, -1, -1, dtype=np.float64)
     w = w / (2.0 * w.sum())
     widths = np.concatenate([w, w[::-1]])
     edges = np.concatenate([[0.0], np.cumsum(widths)])
@@ -255,19 +210,14 @@ def _graded_axis(cells: int, grading: float, lo: float, hi: float) -> tuple[np.n
     return lo + span * nodes[order], span * weights[order]
 
 
-def _quadrature_value(ctx: _WordContext, eps: float, grid: int, grading: float) -> float:
-    lo, hi = _box(ctx.link, eps)
-    nodes, weights = _graded_axis(grid, grading, lo, hi)
+def _quadrature_value(ctx: _WordContext, eps: float, grid: int) -> float:
+    lo, hi = trimmed_interval(ctx.link, eps)
+    nodes, weights = _graded_axis(grid, lo, hi)
     dim = ctx.k + 1
-    if dim == 1:  # pragma: no cover - k >= 1 means dim >= 2
-        return float(np.sum(weights * _integrand_on(ctx, nodes[:, None], lo, hi)))
     # cartesian product of the last (dim-1) axes, evaluated per first-axis node
     grids = np.meshgrid(*([nodes] * (dim - 1)), indexing="ij")
     rest = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([weights] * (dim - 1)), indexing="ij")
-    rest_w = np.ones(rest.shape[0])
-    for g in wgrids:
-        rest_w *= g.ravel()
+    rest_w = functools.reduce(np.multiply.outer, [weights] * (dim - 1)).ravel()
     total = 0.0
     x = np.empty((rest.shape[0], dim))
     x[:, 1:] = rest
@@ -276,6 +226,15 @@ def _quadrature_value(ctx: _WordContext, eps: float, grid: int, grading: float) 
         vals = _integrand_on(ctx, x, lo, hi)
         total += weights[j] * float(np.dot(rest_w, vals))
     return total
+
+
+def _quadrature_estimate(ctx: _WordContext, eps: float, grid: int) -> tuple[float, float]:
+    """Quadrature value on ``grid`` cells, with |fine - coarse| (half grid) as its error."""
+    if ctx.k > QUADRATURE_MAX_K:
+        raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}")
+    value = _quadrature_value(ctx, eps, grid)
+    coarse = _quadrature_value(ctx, eps, max(8, grid // 2))
+    return value, abs(value - coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +258,8 @@ def truncated_word_moment(
     method: str = "mc",
     *,
     samples: int = DEFAULT_SAMPLES,
-    batches: int = DEFAULT_BATCHES,
     seed: int = 0,
     grid: int = DEFAULT_GRID,
-    grading: float = DEFAULT_GRADING,
 ) -> MomentEstimate:
     """Word contribution to the eps-trimmed moment (bounded integrand).
 
@@ -315,27 +272,29 @@ def truncated_word_moment(
     if ctx.link is MatrixKind.H and not ctx.symmetric:
         return _analytic_zero(word, kind, "non-symmetric Hankel word")
     if method == "mc":
-        value, se = _mc_truncated(ctx, eps, samples, batches, seed)
+        value, se = _mc_truncated(ctx, eps, samples, BATCHES, seed)
         return MomentEstimate(
             value=value,
             std_error=se,
             method=Method.MC_LADDER,
-            params={"kind": ctx.link.value, "eps": eps, "samples": samples, "batches": batches, "seed": seed},
+            params={"kind": ctx.link.value, "eps": eps, "samples": samples, "batches": BATCHES, "seed": seed},
             word=word,
         )
     if method == "quadrature":
-        if ctx.k > QUADRATURE_MAX_K:
-            raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}")
-        value = _quadrature_value(ctx, eps, grid, grading)
-        coarse = _quadrature_value(ctx, eps, max(8, grid // 2), grading)
+        value, se = _quadrature_estimate(ctx, eps, grid)
         return MomentEstimate(
             value=value,
-            std_error=abs(value - coarse),
+            std_error=se,
             method=Method.QUADRATURE,
-            params={"kind": ctx.link.value, "eps": eps, "grid": grid, "grading": grading},
+            params={"kind": ctx.link.value, "eps": eps, "grid": grid, "grading": GRADING},
             word=word,
         )
     raise InvalidArgumentError(f"unknown truncated-moment method {method!r}")
+
+
+def _default_ladder(k: int) -> tuple[float, ...]:
+    """4 rungs for k = 1; 6 for k >= 2, whose larger basis needs the extra dof."""
+    return EPS_LADDER if k == 1 else EPS_LADDER_DEEP
 
 
 def _ladder_basis(k: int, rung_count: int) -> int:
@@ -371,32 +330,22 @@ def limit_word_moment(
     *,
     eps_ladder: tuple[float, ...] | None = None,
     samples: int = DEFAULT_SAMPLES,
-    batches: int = DEFAULT_BATCHES,
     seed: int = 0,
     grid: int = DEFAULT_GRID,
-    grading: float = DEFAULT_GRADING,
 ) -> MomentEstimate:
-    """Word contribution to the limiting moment (eps -> 0).
-
-    The default ladder schedule is the 4-rung one for k = 1 and a 6-rung one
-    for k >= 2, where the larger extrapolation basis needs the extra degrees
-    of freedom.
-    """
+    """Word contribution to the limiting moment (eps -> 0)."""
     ctx = _WordContext(word, kind)
     if eps_ladder is None:
-        eps_ladder = EPS_LADDER if word.k == 1 else EPS_LADDER_DEEP
+        eps_ladder = _default_ladder(word.k)
     if ctx.link is MatrixKind.H and not ctx.symmetric:
         return _analytic_zero(word, kind, "non-symmetric Hankel word")
     if method == "quadrature":
-        if ctx.k > QUADRATURE_MAX_K:
-            raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}")
-        value = _quadrature_value(ctx, 0.0, grid, grading)
-        coarse = _quadrature_value(ctx, 0.0, max(8, grid // 2), grading)
+        value, se = _quadrature_estimate(ctx, 0.0, grid)
         return MomentEstimate(
             value=value,
-            std_error=abs(value - coarse),
+            std_error=se,
             method=Method.QUADRATURE,
-            params={"kind": ctx.link.value, "grid": grid, "grading": grading},
+            params={"kind": ctx.link.value, "grid": grid, "grading": GRADING},
             word=word,
         )
     if method == "mc-ladder":
@@ -404,7 +353,7 @@ def limit_word_moment(
             raise InvalidArgumentError("eps ladder needs at least 3 rungs")
         ladder = []
         for r, eps in enumerate(eps_ladder):
-            v, se = _mc_truncated(ctx, eps, samples, batches, derive_seed(seed, r))
+            v, se = _mc_truncated(ctx, eps, samples, BATCHES, derive_seed(seed, r))
             ladder.append((eps, v, se))
         j_max = _ladder_basis(word.k, len(ladder))
         value, se = _ladder_extrapolate(ladder, j_max)
@@ -418,7 +367,7 @@ def limit_word_moment(
                 "raw_last_rung": {"eps": ladder[-1][0], "value": ladder[-1][1], "std_error": ladder[-1][2]},
                 "log_powers": j_max,
                 "samples": samples,
-                "batches": batches,
+                "batches": BATCHES,
                 "seed": seed,
             },
             word=word,
@@ -442,10 +391,8 @@ def limit_moment(
     *,
     eps_ladder: tuple[float, ...] | None = None,
     samples: int = DEFAULT_SAMPLES,
-    batches: int = DEFAULT_BATCHES,
     seed: int = 0,
     grid: int = DEFAULT_GRID,
-    grading: float = DEFAULT_GRADING,
     threads: int | None = 1,
 ) -> MomentEstimate:
     """Order-2k limiting moment: sum of word contributions with error bars.
@@ -457,18 +404,11 @@ def limit_moment(
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     if eps_ladder is None and method == "mc-ladder":
-        eps_ladder = EPS_LADDER if k == 1 else EPS_LADDER_DEEP
+        eps_ladder = _default_ladder(k)
     words = enumerate_pair_matched_words(k)
     tasks = []
     for i, w in enumerate(words):
-        kwargs = dict(
-            eps_ladder=eps_ladder,
-            samples=samples,
-            batches=batches,
-            seed=derive_seed(seed, i),
-            grid=grid,
-            grading=grading,
-        )
+        kwargs = dict(eps_ladder=eps_ladder, samples=samples, seed=derive_seed(seed, i), grid=grid)
         tasks.append((w.letters, kind.value, method, kwargs))
     estimates = parallel_map(_limit_word_task, tasks, workers=threads)
     value = sum(e.value for e in estimates)
@@ -498,7 +438,7 @@ def limit_moment(
         params["ladder"] = _aggregate_ladder(per_word, eps_ladder)
     if method == "quadrature":
         params["grid"] = grid
-        params["grading"] = grading
+        params["grading"] = GRADING
     return MomentEstimate(
         value=value,
         std_error=se,
@@ -509,18 +449,15 @@ def limit_moment(
 
 
 def _aggregate_ladder(per_word: list[dict], eps_ladder: tuple[float, ...]) -> list[dict]:
-    table = []
-    for r, eps in enumerate(eps_ladder):
-        v = 0.0
-        var = 0.0
-        for entry in per_word:
-            rows = entry.get("ladder")
-            if rows is None:
-                continue  # analytic zeros contribute nothing
-            v += rows[r]["value"]
-            var += rows[r]["std_error"] ** 2
-        table.append({"eps": eps, "value": v, "std_error": math.sqrt(var)})
-    return table
+    tables = [entry["ladder"] for entry in per_word if "ladder" in entry]  # analytic zeros have none
+    return [
+        {
+            "eps": eps,
+            "value": sum((t[r]["value"] for t in tables), 0.0),
+            "std_error": math.sqrt(sum((t[r]["std_error"] ** 2 for t in tables), 0.0)),
+        }
+        for r, eps in enumerate(eps_ladder)
+    ]
 
 
 def limit_moment_of_order(
@@ -541,9 +478,7 @@ def limit_moment_of_order(
             word=None,
         )
     est = limit_moment(order // 2, kind, method, **kwargs)
-    params = dict(est.params)
-    params["order"] = order
-    return MomentEstimate(est.value, est.std_error, est.method, params, est.word)
+    return replace(est, params={**est.params, "order": order})
 
 
 def truncated_moment_bound(k: int, eps: float) -> float:
@@ -600,28 +535,22 @@ def compare_empirical_limit(
     reps: int,
     k_max: int,
     seed: int,
-    dist=None,
+    dist: Distribution = Distribution.STANDARD_NORMAL,
     *,
     method: str = "mc-ladder",
     samples: int = 200_000,
     threads: int | None = None,
-    tol_even: float = 0.05,
-    tol_odd: float = 0.1,
 ) -> ComparisonReport:
     """Averaged empirical ESD moments vs limiting moments, orders 1..2*k_max.
 
-    Even orders are compared relative to the limit value; odd orders are
-    checked against an absolute noise threshold (the limit is exactly zero).
+    Even orders are compared relative to the limit value (TOL_EVEN); odd
+    orders against an absolute noise threshold (TOL_ODD), the limit being
+    exactly zero.
     """
-    from .experiments import simulate_spectra  # local import avoids a cycle
-    from .inputs import Distribution
-    from .spectra import moment
-
     if kind not in (MatrixKind.BT, MatrixKind.BH):
         raise InvalidArgumentError("empirical-vs-limit comparison targets balanced kinds (bt, bh)")
     if reps < 2:
         raise InvalidArgumentError("need reps >= 2 for standard errors")
-    dist = dist or Distribution.STANDARD_NORMAL
     spectra = simulate_spectra(kind, dist, n, reps, seed, threads=threads)
     rows = []
     for order in range(1, 2 * k_max + 1):
@@ -630,10 +559,10 @@ def compare_empirical_limit(
         emp_se = float(values.std(ddof=1) / math.sqrt(reps))
         lim = limit_moment_of_order(order, kind, method, samples=samples, seed=derive_seed(seed, 10_000 + order))
         if order % 2 == 1:
-            tol = max(tol_odd, 4.0 * emp_se)
+            tol = max(TOL_ODD, 4.0 * emp_se)
             passed = bool(abs(emp) <= tol)
         else:
-            tol = max(tol_even * abs(lim.value), 4.0 * math.hypot(emp_se, lim.std_error))
+            tol = max(TOL_EVEN * abs(lim.value), 4.0 * math.hypot(emp_se, lim.std_error))
             passed = bool(abs(emp - lim.value) <= tol)
         rows.append(
             ComparisonRow(

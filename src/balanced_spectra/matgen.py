@@ -73,6 +73,18 @@ def needed_length(kind: MatrixKind, n: int) -> int:
     return n if kind.link is MatrixKind.T else 2 * n - 1
 
 
+def occurrence_counts(kind: MatrixKind, n, i, j):
+    """Occurrence counts of the variables at 1-based indices (i, j), elementwise.
+
+    ``n - |i-j|`` for the Toeplitz pattern, ``min(i+j-1, 2n-i-j+1)`` for
+    Hankel (balanced kinds are reduced to their pattern).  ``i`` and ``j``
+    broadcast against each other and are not range-checked.
+    """
+    if kind.link is MatrixKind.T:
+        return n - np.abs(i - j)
+    return np.minimum(i + j - 1, 2 * n - i - j + 1)
+
+
 def occurrence_count(kind: MatrixKind, n: int, i: int, j: int) -> int:
     """Number of occurrences of entry (i, j)'s variable in the n x n pattern.
 
@@ -83,9 +95,18 @@ def occurrence_count(kind: MatrixKind, n: int, i: int, j: int) -> int:
         raise InvalidArgumentError("n must be >= 1")
     if not (1 <= i <= n and 1 <= j <= n):
         raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{n}")
+    return int(occurrence_counts(kind, n, i, j))
+
+
+def occurrence_fraction(kind: MatrixKind, x, y):
+    """Limiting occurrence fraction at (x, y) of the unit square, elementwise.
+
+    The n -> inf limit of ``occurrence_counts(kind, n, nx, ny) / n``:
+    ``1 - |x-y|`` for Toeplitz, ``min(x+y, 2-x-y)`` for Hankel.
+    """
     if kind.link is MatrixKind.T:
-        return n - abs(i - j)
-    return min(i + j - 1, 2 * n - i - j + 1)
+        return 1.0 - np.abs(x - y)
+    return np.minimum(x + y, 2.0 - x - y)
 
 
 def build_matrix(kind: MatrixKind, seq: InputSequence, n: int) -> PatternedMatrix:
@@ -100,11 +121,9 @@ def build_matrix(kind: MatrixKind, seq: InputSequence, n: int) -> PatternedMatri
     # Scale each variable once, then lay the scaled sequence out as the n
     # windows of length n of one line: no n x n index or count arrays.
     values = seq.values[:need]
-    if kind.link is MatrixKind.T:
-        counts = n - np.arange(n)  # x_k fills the diagonals |i-j| = k
-    else:
-        m = np.arange(1, need + 1)  # x_m fills the anti-diagonal i+j-1 = m
-        counts = np.minimum(m, 2 * n - m)
+    # entry (1, j) holds the j-th variable of either pattern (for Hankel j runs
+    # past n along the extended first row, i+j-1 = j)
+    counts = occurrence_counts(kind, n, 1, np.arange(1, need + 1))
     scaled = values / np.sqrt(counts) if kind.balanced else values / math.sqrt(n)
     if kind.link is MatrixKind.T:
         # row i (0-based) reads x_{n-1} .. x_1 x_0 x_1 .. x_{n-1} from offset n-1-i
@@ -117,33 +136,48 @@ def build_matrix(kind: MatrixKind, seq: InputSequence, n: int) -> PatternedMatri
     )
 
 
-def submatrix_dimension(kind: MatrixKind, n: int, eps: float) -> int:
-    """Realized dimension of the epsilon-trimmed principal submatrix."""
+def submatrix_window(kind: MatrixKind, n: int, eps: float) -> tuple[int, int]:
+    """1-based inclusive index range kept by the epsilon-trim of ``kind``'s pattern.
+
+    Toeplitz keeps the first ceil(n(1-eps)) indices; Hankel drops
+    floor(n*eps/2) indices from each end.
+    """
     if not 0.0 <= eps < 1.0:
         raise InvalidArgumentError("eps must lie in [0, 1)")
-    if kind is MatrixKind.BT:
-        return int(math.ceil(n * (1.0 - eps) - _ROUND_GUARD))
-    if kind is MatrixKind.BH:
-        trim = int(math.floor(n * eps / 2.0 + _ROUND_GUARD))
-        return n - 2 * trim
-    raise InvalidArgumentError("submatrix trim is defined for BT and BH only")
+    if kind.link is MatrixKind.T:
+        return 1, int(math.ceil(n * (1.0 - eps) - _ROUND_GUARD))
+    trim = int(math.floor(n * eps / 2.0 + _ROUND_GUARD))
+    return trim + 1, n - trim
+
+
+def trimmed_interval(kind: MatrixKind, eps: float) -> tuple[float, float]:
+    """Continuum form of the epsilon-trim: the kept part of the unit index axis."""
+    if not 0.0 <= eps < 1.0:
+        raise InvalidArgumentError("eps must lie in [0, 1)")
+    if kind.link is MatrixKind.T:
+        return 0.0, 1.0 - eps
+    return eps / 2.0, 1.0 - eps / 2.0
+
+
+def submatrix_dimension(kind: MatrixKind, n: int, eps: float) -> int:
+    """Realized dimension of the epsilon-trimmed principal submatrix."""
+    lo, hi = submatrix_window(kind, n, eps)
+    if not kind.balanced:
+        raise InvalidArgumentError("submatrix trim is defined for BT and BH only")
+    return hi - lo + 1
 
 
 def principal_submatrix(mat: PatternedMatrix, eps: float) -> PatternedMatrix:
     """Epsilon-trimmed principal submatrix with entries copied from the parent.
 
-    BT keeps the top-left ceil(n(1-eps)) rows/columns; BH drops
-    floor(n*eps/2) rows/columns from each end.  ``parent_n`` is preserved so
-    the entry scalings remain those of the parent matrix.
+    Keeps the rows/columns of ``submatrix_window``.  ``parent_n`` is preserved
+    so the entry scalings remain those of the parent matrix.
     """
     m = submatrix_dimension(mat.kind, mat.n, eps)
     if m < 1:
         raise InvalidArgumentError(f"trim eps={eps} leaves no rows at n={mat.n}")
-    if mat.kind is MatrixKind.BT:
-        sub = mat.entries[:m, :m]
-    else:
-        trim = (mat.n - m) // 2
-        sub = mat.entries[trim : mat.n - trim, trim : mat.n - trim]
+    lo, hi = submatrix_window(mat.kind, mat.n, eps)
+    sub = mat.entries[lo - 1 : hi, lo - 1 : hi]
     return PatternedMatrix(
         kind=mat.kind,
         n=m,

@@ -8,7 +8,6 @@ be created (restricted sandboxes), the map silently runs serially.
 from __future__ import annotations
 
 import os
-import pickle
 
 from .errors import InvalidArgumentError
 
@@ -33,17 +32,13 @@ def resolve_workers(threads: int | None = None) -> int:
 def parallel_map(fn, items, workers: int | None = None) -> list:
     """Order-preserving map over ``items`` using up to ``workers`` processes.
 
-    Falls back to a serial loop when the callable cannot cross a process
-    boundary or the sandbox refuses to fork; exceptions raised by ``fn``
-    itself always propagate.
+    ``fn`` must be picklable (a module-level function or a partial of one).
+    Falls back to a serial loop when the sandbox refuses to fork; exceptions
+    raised by ``fn`` itself always propagate.
     """
     items = list(items)
     count = resolve_workers(workers)
     if count <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    try:
-        pickle.dumps(fn)
-    except (pickle.PicklingError, AttributeError, TypeError):
         return [fn(item) for item in items]
     # imported on first fan-out: serial runs and plain imports of the package
     # then never load multiprocessing, which costs about 1 MB of RSS

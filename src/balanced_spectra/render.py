@@ -13,8 +13,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def histogram_svg(hist: HistogramData, title: str = "", width: int = 640, height: int = 360) -> str:
+def histogram_svg(hist: HistogramData, title: str = "") -> str:
     """Render the histogram as a single-file SVG bar chart (no external assets)."""
+    width, height = 640, 360
     left, right, top, bottom = 52.0, 12.0, 28.0, 36.0
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -127,9 +127,6 @@ class LinearForm:
     vertices: tuple[int, ...]
     coeffs: tuple[int, ...]
 
-    def as_vector(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
-
     def evaluate(self, assignment) -> float:
         """Evaluate at values aligned with ``vertices``."""
         return float(np.dot(self.coeffs, np.asarray(assignment, dtype=np.float64)))

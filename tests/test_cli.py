@@ -70,8 +70,7 @@ def test_manifest_replay_reproduces_run(tmp_path):
     ) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     replay_cfg = tmp_path / "replay.json"
-    cfg = {k: v for k, v in manifest["config"].items() if k != "command"}
-    replay_cfg.write_text(json.dumps(cfg))
+    replay_cfg.write_text(json.dumps(manifest["config"]))
     out2 = tmp_path / "replay"
     assert run_cli("simulate", "--config", str(replay_cfg), "--out", str(out2)) == 0
     for name in ("eigenvalues.csv", "histogram.csv", "histogram.svg"):
@@ -103,18 +102,25 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "args, config, message",
     [
-        (["simulate", "--n", "10", "--reps", "2", "--threads", "0"], "--threads"),
-        (["simulate", "--n", "10", "--reps", "2", "--range", "1,inf"], "finite"),
-        (["simulate", "--config", "{cfg}"], "'n'"),
-        (["limit", "--k", "1", "--samples", "0"], "--samples"),
+        (["simulate", "--n", "10", "--reps", "2", "--threads", "0"], None, "--threads"),
+        (["simulate", "--n", "10", "--reps", "2", "--range", "1,inf"], None, "finite"),
+        (["simulate", "--config", "{cfg}"], {"n": "abc"}, "'n'"),
+        (["limit", "--k", "1", "--samples", "0"], None, "--samples"),
+        (["simulate", "--config", "{cfg}"], {"dump_matrices": "false"}, "'dump_matrices'"),
+        (["simulate", "--config", "{cfg}"], 5, "JSON object"),
+        (["limit", "--config", "{cfg}"], {"eps_ladder": ["x", 0.1, 0.2]}, "--eps-ladder"),
+        (["simulate", "--config", "{cfg}"], {"command": "limit"}, "'limit'"),
     ],
-    ids=["threads-0", "range-inf", "config-n-abc", "samples-0"],
+    ids=[
+        "threads-0", "range-inf", "config-n-abc", "samples-0",
+        "config-bool-string", "config-not-object", "config-ladder-string", "config-other-command",
+    ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, message):
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": "abc"}))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     argv = [arg.replace("{cfg}", str(cfg)) for arg in args]
     if argv[0] == "simulate":

@@ -1,3 +1,5 @@
+import concurrent.futures
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -47,11 +49,21 @@ def test_trace_moment_samples_shape_and_determinism():
     assert np.allclose(a, (2 * 50 - 1) / 50, atol=1e-12)
 
 
-def test_parallel_map_order_and_fallback():
+def test_parallel_map_order_and_fallback(monkeypatch):
     items = list(range(20))
-    assert parallel_map(str, items, workers=1) == [str(i) for i in items]
-    # lambdas cannot cross process boundaries; the map must fall back to serial
-    assert parallel_map(lambda x: x * 2, items, workers=2) == [i * 2 for i in items]
+    expected = [str(i) for i in items]
+    assert parallel_map(str, items, workers=1) == expected
+    assert parallel_map(str, items, workers=2) == expected
+    # a callable that cannot cross a process boundary is an error, not a silent serial run
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        parallel_map(lambda x: x * 2, items, workers=2)
+
+    # a sandbox that refuses to start the pool still gets the serial loop
+    def refuse(*args, **kwargs):
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert parallel_map(str, items, workers=2) == expected
 
 
 def test_resolve_workers_env(monkeypatch):

@@ -7,6 +7,8 @@ from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.matgen import MatrixKind
 from balanced_spectra.limits import (
     Method,
+    _WordContext,
+    _mc_truncated,
     compare_empirical_limit,
     finite_n_word_moment,
     limit_moment,
@@ -103,6 +105,8 @@ def test_finite_n_budget_guard():
         finite_n_word_moment(Word("aabb"), MatrixKind.T, 2000)
     with pytest.raises(InvalidArgumentError):
         finite_n_word_moment(AA, MatrixKind.T, 0)
+    with pytest.raises(InvalidArgumentError):  # the window would run past n
+        finite_n_word_moment(AA, MatrixKind.T, 10, eps=-0.5)
 
 
 def test_finite_n_trimmed_window_matches_truncated_integral():
@@ -171,12 +175,18 @@ def test_truncated_validation():
         truncated_word_moment(Word("aabbccdd"), MatrixKind.T, 0.1, "quadrature")
 
 
-@pytest.mark.parametrize("budget", [{"samples": 0}, {"batches": 0}, {"samples": -5}])
+@pytest.mark.parametrize("budget", [{"samples": 0}, {"samples": -5}])
 def test_monte_carlo_budget_must_be_positive(budget):
     with pytest.raises(InvalidArgumentError):
         truncated_word_moment(AA, MatrixKind.T, 0.1, **budget)
     with pytest.raises(InvalidArgumentError):
         limit_moment(1, MatrixKind.T, "mc-ladder", **budget)
+
+
+def test_monte_carlo_needs_two_batches_for_an_error_bar():
+    # one batch has no spread to measure: it must not report std_error 0
+    with pytest.raises(InvalidArgumentError):
+        _mc_truncated(_WordContext(AA, MatrixKind.T), 0.1, 1000, 1, 0)
 
 
 # --- limiting moments ------------------------------------------------------

@@ -10,6 +10,7 @@ from balanced_spectra.matgen import (
     build_matrix,
     needed_length,
     occurrence_count,
+    occurrence_counts,
     principal_submatrix,
 )
 from balanced_spectra.spectra import trace_power
@@ -36,7 +37,10 @@ def test_occurrence_reciprocal_sum_counts_variables(kind, n):
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     )
-    assert abs(total - (2 * n - 1)) < 1e-9
+    i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+    array_total = float(np.sum(1.0 / occurrence_counts(kind, n, i, j)))
+    for value in (total, array_total):
+        assert abs(value - (2 * n - 1)) < 1e-9
 
 
 def test_occurrence_symmetry_and_range():
