@@ -175,7 +175,7 @@ def test_truncated_validation():
         truncated_word_moment(Word("aabbccdd"), MatrixKind.T, 0.1, "quadrature")
 
 
-@pytest.mark.parametrize("budget", [{"samples": 0}, {"samples": -5}])
+@pytest.mark.parametrize("budget", [{"samples": 0}, {"samples": -1}, {"samples": -5}])
 def test_monte_carlo_budget_must_be_positive(budget):
     with pytest.raises(InvalidArgumentError):
         truncated_word_moment(AA, MatrixKind.T, 0.1, **budget)
