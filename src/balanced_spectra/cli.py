@@ -15,14 +15,16 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .errors import BalancedSpectraError, InvalidArgumentError, UsageError
 from .inputs import Distribution, derive_seed
-from .limits import DEFAULT_GRID, DEFAULT_SAMPLES, compare_empirical_limit, limit_moment
+from .limits import COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, compare_empirical_limit, limit_moment
 from .matgen import MatrixKind
 from .persist import atomic_write_text, write_csv, write_json
 from .render import histogram_svg
@@ -32,6 +34,105 @@ from .verify import run_suites
 from .words import enumerate_pair_matched_words, generating_vertices, is_symmetric, linear_forms
 
 
+def _key(default, help, *, low=None, high=None, choices=None, parse=None, flag=None):
+    """One settable key; its type is the field's annotation.  A value must lie
+    in [low, high) and among ``choices``; ``parse`` instead checks a value of a
+    richer form by raising ValueError.  ``flag`` replaces ``--name``.  A key
+    whose type excludes None but whose default is None must be given as a flag."""
+    return field(default=default, metadata=dict(help=help, low=low, high=high, choices=choices, parse=parse, flag=flag))
+
+
+def _floats(text) -> tuple[float, ...]:
+    """A list of numbers, or their comma list as one string."""
+    parts = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v.strip()]
+    return tuple(float(v) for v in parts)
+
+
+def _parse_range(text) -> tuple[float, float] | None:
+    if str(text).strip().lower() == "auto":
+        return None
+    try:
+        lo, hi = _floats(text)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"must be LO,HI or 'auto', got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bounds must be finite with LO < HI, got {text!r}")
+    return lo, hi
+
+
+# One frozen dataclass per subcommand, named after it: each field is a key,
+# set by its flag or a --config file and recorded in the manifest.
+@dataclass(frozen=True)
+class _Config:
+    out: str | None = _key(None, "output directory (optional)")
+
+
+@dataclass(frozen=True)
+class _Sampled(_Config):
+    kind: str = _key("bt", "ensemble: t, h, bt or bh", parse=MatrixKind.parse)
+    seed: int = _key(42, "master seed (64-bit)")
+    threads: int | None = _key(None, "worker processes (env BALANCED_SPECTRA_THREADS)", low=1)
+
+
+@dataclass(frozen=True)
+class Simulate(_Sampled):
+    """solve seeded realizations, emit spectra and histograms"""
+    out: str = _key(None, "output directory")
+    n: int = _key(400, "matrix dimension", low=1)
+    reps: int = _key(15, "number of realizations", low=1)
+    dist: str = _key("normal", "input law: normal, rademacher, uniform", parse=Distribution.parse)
+    bins: int = _key(DEFAULT_BINS, "histogram bins", low=1)
+    hist_range: str = _key("{},{}".format(*DEFAULT_RANGE), "LO,HI or 'auto'", parse=_parse_range, flag="--range")
+    eps: float = _key(0.0, "trim fraction for balanced submatrices", low=0, high=1)
+    dump_matrices: bool = _key(False, "also write entry CSVs")
+
+
+@dataclass(frozen=True)
+class Moments(_Sampled):
+    """empirical averaged moments vs limiting moments"""
+    n: int = _key(200, "matrix dimension", low=1)
+    reps: int = _key(15, "number of realizations", low=1)
+    dist: str = _key("normal", "input law: normal, rademacher, uniform", parse=Distribution.parse)
+    k_max: int = _key(2, "compare orders 1..2*k_max", low=1)
+    method: str = _key("mc-ladder", "limit method", choices=("mc-ladder", "quadrature"))
+    samples: int = _key(COMPARE_SAMPLES, "Monte Carlo samples per rung", low=1)
+
+
+@dataclass(frozen=True)
+class Limit(_Sampled):
+    """limiting moment of order 2k with per-word breakdown"""
+    seed: int = _key(7, "master seed (64-bit)")
+    k: int = _key(1, "half-order: computes the order-2k moment", low=1)
+    method: str = _key("mc-ladder", "limit method", choices=("mc-ladder", "quadrature"))
+    samples: int = _key(DEFAULT_SAMPLES, "Monte Carlo samples per rung", low=1)
+    grid: int = _key(DEFAULT_GRID, "quadrature cells per axis", low=1)
+    eps_ladder: str | None = _key(None, "comma list of rung epsilons", parse=_floats)
+
+
+@dataclass(frozen=True)
+class Words(_Config):
+    """pair-matched words, forms and closure flags as JSON"""
+    k: int = _key(2, "half-length: words of length 2k", low=1)
+
+
+@dataclass(frozen=True)
+class Verify(_Config):
+    """run invariant self-check suites"""
+    suite: str = _key("all", "comma list of suites or 'all'")
+
+
+_SCHEMAS = {schema.__name__.lower(): schema for schema in (Simulate, Moments, Limit, Words, Verify)}
+
+
+def _keys(schema):
+    """(field, flag, value type, None allowed) for each key of ``schema``."""
+    hints = get_type_hints(schema)
+    for f in fields(schema):
+        types = get_args(hints[f.name]) or (hints[f.name],)
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+        yield f, flag, types[0], type(None) in types
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="balanced-spectra",
@@ -39,155 +140,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, kind=True, seed=True, threads=True, out_required=False):
-        if kind:
-            p.add_argument("--kind", type=str, help="ensemble: t, h, bt or bh")
-        if seed:
-            p.add_argument("--seed", type=int, help="master seed (64-bit)")
-        if threads:
-            p.add_argument("--threads", type=int, help="worker processes (env BALANCED_SPECTRA_THREADS)")
+    for command, schema in _SCHEMAS.items():
+        p = sub.add_parser(command, help=schema.__doc__)
+        for f, flag, value_type, optional in _keys(schema):
+            # default None: a flag not given leaves the config value or the default
+            how = {"action": "store_true"} if value_type is bool else {"type": value_type}
+            choices = f.metadata["choices"]
+            text = f.metadata["help"] + (": " + " or ".join(choices) if choices else "")
+            text += "" if f.default is None else f" (default: {f.default})"
+            p.add_argument(flag, dest=f.name, default=None, required=f.default is None and not optional,
+                           help=text, **how)
         p.add_argument("--config", type=str, help="JSON config file; explicit flags win")
-        p.add_argument(
-            "--out",
-            type=str,
-            required=out_required,
-            help="output directory" + ("" if out_required else " (optional)"),
-        )
-
-    p = sub.add_parser("simulate", help="solve seeded realizations, emit spectra and histograms")
-    p.add_argument("--n", type=int, help="matrix dimension")
-    p.add_argument("--reps", type=int, help="number of realizations")
-    p.add_argument("--dist", type=str, help="input law: normal, rademacher, uniform")
-    p.add_argument("--bins", type=int, help="histogram bins")
-    p.add_argument("--range", dest="hist_range", type=str, help="LO,HI or 'auto'")
-    p.add_argument("--eps", type=float, help="trim fraction for balanced submatrices")
-    p.add_argument("--dump-matrices", action="store_true", default=None, help="also write entry CSVs")
-    common(p, out_required=True)
-
-    p = sub.add_parser("moments", help="empirical averaged moments vs limiting moments")
-    p.add_argument("--n", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--dist", type=str)
-    p.add_argument("--k-max", dest="k_max", type=int, help="compare orders 1..2*k_max")
-    p.add_argument("--method", type=str, help="limit method: mc-ladder or quadrature")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples per rung")
-    common(p)
-
-    p = sub.add_parser("limit", help="limiting moment of order 2k with per-word breakdown")
-    p.add_argument("--k", type=int, help="half-order: computes the order-2k moment")
-    p.add_argument("--method", type=str, help="mc-ladder or quadrature")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--grid", type=int, help="quadrature cells per axis")
-    p.add_argument("--eps-ladder", dest="eps_ladder", type=str, help="comma list of rung epsilons")
-    common(p)
-
-    p = sub.add_parser("words", help="pair-matched words, forms and closure flags as JSON")
-    p.add_argument("--k", type=int, help="half-length: words of length 2k")
-    common(p, kind=False, seed=False, threads=False)
-
-    p = sub.add_parser("verify", help="run invariant self-check suites")
-    p.add_argument("--suite", type=str, help="comma list of suites or 'all'")
-    common(p, kind=False, seed=False, threads=False)
     return parser
 
 
-_DEFAULTS = {
-    "simulate": {
-        "kind": "bt", "n": 400, "reps": 15, "dist": "normal", "seed": 42,
-        "bins": DEFAULT_BINS, "hist_range": f"{DEFAULT_RANGE[0]},{DEFAULT_RANGE[1]}",
-        "eps": 0.0, "dump_matrices": False, "threads": None,
-    },
-    "moments": {
-        "kind": "bt", "n": 200, "reps": 15, "dist": "normal", "seed": 42,
-        "k_max": 2, "method": "mc-ladder", "samples": 200_000, "threads": None,
-    },
-    "limit": {
-        "kind": "bt", "k": 1, "method": "mc-ladder", "seed": 7,
-        "samples": DEFAULT_SAMPLES, "grid": DEFAULT_GRID, "eps_ladder": None, "threads": None,
-    },
-    "words": {"k": 2},
-    "verify": {"suite": "all"},
-}
+def _check(meta: dict, value_type: type, value) -> None:
+    """Raise ValueError unless ``value`` is a ``value_type`` that meets its key's rule."""
+    if meta["parse"]:
+        meta["parse"](value)
+        return
+    low, high, choices = meta["low"], meta["high"], meta["choices"]
+    if not (
+        isinstance(value, bool) == (value_type is bool)
+        and isinstance(value, (int, float) if value_type is float else value_type)
+        and (low is None or value >= low)
+        and (high is None or value < high)
+        and (choices is None or value in choices)
+    ):
+        rule = f"one of {', '.join(choices)}" if choices else value_type.__name__
+        rule += f" in [{low}, {high})" if high is not None else f" >= {low}" if low is not None else ""
+        raise ValueError(f"must be {rule}, got {value!r}")
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over an optional JSON config over hard defaults."""
-    command = args.command
-    merged = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
+def resolve_config(args: argparse.Namespace):
+    """The subcommand's config: each flag over the --config file over the default, checked."""
+    command, path, file_cfg = args.command, args.config, {}
+    if path:
         try:
-            with open(config_path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 file_cfg = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}") from exc
+            raise UsageError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise UsageError(f"config {config_path} must hold a JSON object, got {file_cfg!r}")
+            raise UsageError(f"config {path} must hold a JSON object, got {file_cfg!r}")
         # a manifest's config block names its subcommand; replaying it elsewhere is an error
         if file_cfg.get("command", command) != command:
-            raise UsageError(f"config {config_path} is for {file_cfg['command']!r}, not {command!r}")
-        unknown = set(file_cfg) - set(merged) - {"out", "command"}
+            raise UsageError(f"config {path} is for {file_cfg['command']!r}, not {command!r}")
+        unknown = set(file_cfg) - {f.name for f in fields(_SCHEMAS[command])} - {"command"}
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            default = merged.get(key)
-            if isinstance(default, (int, float)):  # bool defaults included: bool is an int
-                allowed = (int, float) if isinstance(default, float) else type(default)
-                if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
-                    raise UsageError(f"config key {key!r} must be of type {type(default).__name__}, got {value!r}")
-        merged.update(file_cfg)
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if merged.get("threads") is not None:
-        _validate_positive(merged, ["threads"])
-    merged["out"] = getattr(args, "out", None) or merged.get("out")
-    merged["command"] = command
-    return merged
+    values = {}
+    for f, flag, value_type, optional in _keys(_SCHEMAS[command]):
+        if getattr(args, f.name) is not None:
+            value, label = getattr(args, f.name), flag
+        elif f.name in file_cfg:
+            value, label = file_cfg[f.name], f"{flag} (config key {f.name!r})"
+        else:
+            continue
+        try:
+            if value is not None or not optional:
+                _check(f.metadata, value_type, value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{label}: {exc}") from exc
+        values[f.name] = value
+    return _SCHEMAS[command](**values)
 
 
-def _parse_range(text) -> tuple[float, float] | None:
-    if text is None:
-        return DEFAULT_RANGE
-    if str(text).strip().lower() == "auto":
-        return None
-    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    try:
-        lo, hi = (float(part) for part in parts)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--range must be LO,HI or 'auto', got {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"--range bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise UsageError(f"--range must satisfy LO < HI, got {text!r}")
-    return lo, hi
-
-
-def _parse_eps_ladder(text) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    parts = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v.strip()]
-    try:
-        values = [float(v) for v in parts]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--eps-ladder must be a comma list of floats, got {text!r}") from exc
-    if not values or not all(0.0 < v < 1.0 for v in values):
-        raise UsageError("ladder epsilons must lie in (0, 1)")
-    return tuple(values)
-
-
-def _validate_positive(cfg: dict, keys: list[str]) -> None:
-    for key in keys:
-        value = cfg.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise UsageError(f"--{key.replace('_', '-')} must be a positive integer, got {value!r}")
-
-
-def _manifest(cfg: dict, outputs: list[str], timings: dict, extra: dict | None = None) -> dict:
+def _manifest(cfg, outputs: list[str], timings: dict, extra: dict | None = None) -> dict:
+    config = {"command": type(cfg).__name__.lower(), **asdict(cfg)}
+    del config["out"]
     manifest = {
-        "config": {k: v for k, v in cfg.items() if k != "out"},
+        "config": config,
         "outputs": sorted(outputs),
         "versions": {
             "balanced_spectra": __version__,
@@ -201,24 +224,16 @@ def _manifest(cfg: dict, outputs: list[str], timings: dict, extra: dict | None =
     return manifest
 
 
-def cmd_simulate(cfg: dict) -> int:
-    _validate_positive(cfg, ["n", "reps", "bins"])
-    kind = MatrixKind.parse(cfg["kind"])
-    dist = Distribution.parse(cfg["dist"])
-    eps = float(cfg["eps"])
-    if not 0.0 <= eps < 1.0:
-        raise UsageError("--eps must lie in [0, 1)")
-    if eps > 0.0 and not kind.balanced:
+def cmd_simulate(cfg: Simulate) -> int:
+    kind = MatrixKind.parse(cfg.kind)
+    dist = Distribution.parse(cfg.dist)
+    if cfg.eps > 0.0 and not kind.balanced:
         raise UsageError("--eps trims are defined for balanced kinds (bt, bh)")
-    hist_range = _parse_range(cfg["hist_range"])
-    out = Path(cfg["out"])
-    seed = int(cfg["seed"])
+    hist_range = _parse_range(cfg.hist_range)
+    out = Path(cfg.out)
 
     t0 = time.perf_counter()
-    spectra_list = simulate_spectra(
-        kind, dist, int(cfg["n"]), int(cfg["reps"]), seed,
-        eps=eps, threads=cfg.get("threads"),
-    )
+    spectra_list = simulate_spectra(kind, dist, cfg.n, cfg.reps, cfg.seed, eps=cfg.eps, threads=cfg.threads)
     t_solve = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -228,7 +243,7 @@ def cmd_simulate(cfg: dict) -> int:
             rows.append((r, i, float(value)))
     write_csv(out / "eigenvalues.csv", ["realization", "index", "eigenvalue"], rows)
 
-    hist = pooled_histogram(spectra_list, bins=int(cfg["bins"]), hist_range=hist_range)
+    hist = pooled_histogram(spectra_list, bins=cfg.bins, hist_range=hist_range)
     write_csv(
         out / "histogram.csv",
         ["bin_left", "bin_right", "density"],
@@ -237,13 +252,13 @@ def cmd_simulate(cfg: dict) -> int:
             for i in range(len(hist.densities))
         ],
     )
-    title = f"{kind.value.upper()} n={cfg['n']} {dist.value} x{cfg['reps']}"
+    title = f"{kind.value.upper()} n={cfg.n} {dist.value} x{cfg.reps}"
     atomic_write_text(out / "histogram.svg", histogram_svg(hist, title=title))
     outputs = ["eigenvalues.csv", "histogram.csv", "histogram.svg"]
 
-    if cfg.get("dump_matrices"):
-        for r in range(int(cfg["reps"])):
-            mat = realization_matrix(kind, dist, int(cfg["n"]), derive_seed(seed, r), eps)
+    if cfg.dump_matrices:
+        for r in range(cfg.reps):
+            mat = realization_matrix(kind, dist, cfg.n, derive_seed(cfg.seed, r), cfg.eps)
             entry_rows = [
                 (i + 1, j + 1, float(mat.entries[i, j]))
                 for i in range(mat.n)
@@ -259,7 +274,7 @@ def cmd_simulate(cfg: dict) -> int:
         outputs,
         {"solve": t_solve, "write": t_write},
         {
-            "derived_seeds": [derive_seed(seed, r) for r in range(int(cfg["reps"]))],
+            "derived_seeds": [derive_seed(cfg.seed, r) for r in range(cfg.reps)],
             "realized_dimension": spectra_list[0].n,
             "histogram": {
                 "overflow": hist.overflow,
@@ -273,14 +288,11 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def cmd_moments(cfg: dict) -> int:
-    _validate_positive(cfg, ["n", "reps", "k_max", "samples"])
-    kind = MatrixKind.parse(cfg["kind"])
-    dist = Distribution.parse(cfg["dist"])
+def cmd_moments(cfg: Moments) -> int:
     t0 = time.perf_counter()
     report = compare_empirical_limit(
-        kind, int(cfg["n"]), int(cfg["reps"]), int(cfg["k_max"]), int(cfg["seed"]),
-        dist, method=str(cfg["method"]), samples=int(cfg["samples"]), threads=cfg.get("threads"),
+        MatrixKind.parse(cfg.kind), cfg.n, cfg.reps, cfg.k_max, cfg.seed, Distribution.parse(cfg.dist),
+        method=cfg.method, samples=cfg.samples, threads=cfg.threads,
     )
     elapsed = time.perf_counter() - t0
     header = f"{'order':>5} {'empirical':>14} {'emp se':>10} {'limit':>14} {'lim se':>10} {'pass':>5}"
@@ -290,8 +302,8 @@ def cmd_moments(cfg: dict) -> int:
             f"{row.order:>5} {row.empirical:>14.6f} {row.empirical_se:>10.2e} "
             f"{row.limit:>14.6f} {row.limit_se:>10.2e} {str(row.passed):>5}"
         )
-    if cfg.get("out"):
-        out = Path(cfg["out"])
+    if cfg.out:
+        out = Path(cfg.out)
         write_json(out / "moments.json", report.to_dict())
         write_csv(
             out / "moments.csv",
@@ -305,28 +317,19 @@ def cmd_moments(cfg: dict) -> int:
     return 0
 
 
-def cmd_limit(cfg: dict) -> int:
-    _validate_positive(cfg, ["k", "samples", "grid"])
-    kind = MatrixKind.parse(cfg["kind"])
-    method = str(cfg["method"])
-    if method not in ("mc-ladder", "quadrature"):
-        raise UsageError(f"--method must be mc-ladder or quadrature, got {method!r}")
-    ladder = _parse_eps_ladder(cfg.get("eps_ladder"))
+def cmd_limit(cfg: Limit) -> int:
+    kind = MatrixKind.parse(cfg.kind)
+    ladder = None if cfg.eps_ladder is None else _floats(cfg.eps_ladder)
     t0 = time.perf_counter()
-    kwargs = dict(
-        samples=int(cfg["samples"]),
-        seed=int(cfg["seed"]),
-        grid=int(cfg["grid"]),
-        threads=cfg.get("threads"),
+    estimate = limit_moment(
+        cfg.k, kind, cfg.method,
+        eps_ladder=ladder, samples=cfg.samples, seed=cfg.seed, grid=cfg.grid, threads=cfg.threads,
     )
-    if ladder is not None:
-        kwargs["eps_ladder"] = ladder
-    estimate = limit_moment(int(cfg["k"]), kind, method, **kwargs)
     elapsed = time.perf_counter() - t0
     payload = {
         "kind": kind.link.value,
-        "k": int(cfg["k"]),
-        "order": 2 * int(cfg["k"]),
+        "k": cfg.k,
+        "order": 2 * cfg.k,
         "method": estimate.method.value,
         "value": estimate.value,
         "std_error": estimate.std_error,
@@ -335,17 +338,16 @@ def cmd_limit(cfg: dict) -> int:
     if "ladder" in estimate.params:
         payload["ladder"] = estimate.params["ladder"]
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if cfg.get("out"):
-        out = Path(cfg["out"])
+    if cfg.out:
+        out = Path(cfg.out)
         write_json(out / "limit.json", payload)
         write_json(out / "manifest.json", _manifest(cfg, ["limit.json"], {"total": elapsed}))
     return 0
 
 
-def cmd_words(cfg: dict) -> int:
-    _validate_positive(cfg, ["k"])
+def cmd_words(cfg: Words) -> int:
     entries = []
-    for word in enumerate_pair_matched_words(int(cfg["k"])):
+    for word in enumerate_pair_matched_words(cfg.k):
         forms_t, closure_t = linear_forms(word, MatrixKind.T)
         forms_h, closure_h = linear_forms(word, MatrixKind.H)
         entries.append(
@@ -362,17 +364,13 @@ def cmd_words(cfg: dict) -> int:
         )
     text = json.dumps(entries, indent=2, sort_keys=True)
     print(text)
-    if cfg.get("out"):
-        write_json(Path(cfg["out"]) / "words.json", entries)
+    if cfg.out:
+        write_json(Path(cfg.out) / "words.json", entries)
     return 0
 
 
-def cmd_verify(cfg: dict) -> int:
-    names = [s.strip() for s in str(cfg["suite"]).split(",") if s.strip()]
-    try:
-        results = run_suites(names)
-    except KeyError as exc:
-        raise UsageError(f"unknown suite {exc.args[0]!r}") from exc
+def cmd_verify(cfg: Verify) -> int:
+    results = run_suites([s.strip() for s in cfg.suite.split(",") if s.strip()])
     failures = 0
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
@@ -393,17 +391,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except (UsageError, InvalidArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BalancedSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UsageError, InvalidArgumentError)) else 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .inputs import Distribution, derive_seed, generate_sequence
-from .matgen import MatrixKind, build_matrix, needed_length, principal_submatrix
+from .matgen import MatrixKind, build_matrix, check_matrix_budget, needed_length, principal_submatrix
 from .parallel import parallel_map
 from .spectra import Spectrum, eigenvalues_symmetric, trace_power
 
@@ -40,6 +40,7 @@ def simulate_spectra(
     threads: int | None = None,
 ) -> list[Spectrum]:
     """Solve ``reps`` independent realizations; deterministic in ``master_seed``."""
+    check_matrix_budget(n)  # before any sequence is drawn or worker started
     tasks = [
         (kind.value, dist.value, n, derive_seed(master_seed, r), eps, r)
         for r in range(reps)

@@ -46,6 +46,7 @@ EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 EPS_LADDER_DEEP = (0.3, 0.2, 0.15, 0.1, 0.05, 0.025)
 DEFAULT_SAMPLES = 2_000_000
 DEFAULT_GRID = 64
+COMPARE_SAMPLES = 200_000  # Monte Carlo samples per rung of compare_empirical_limit's limits
 BATCHES = 16  # median-of-means batches per Monte Carlo rung
 GRADING = 0.7  # geometric cell ratio of the quadrature mesh
 TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
@@ -292,9 +293,25 @@ def truncated_word_moment(
     raise InvalidArgumentError(f"unknown truncated-moment method {method!r}")
 
 
-def _default_ladder(k: int) -> tuple[float, ...]:
-    """4 rungs for k = 1; 6 for k >= 2, whose larger basis needs the extra dof."""
-    return EPS_LADDER if k == 1 else EPS_LADDER_DEEP
+def _ladder(eps_ladder, k: int) -> tuple[float, ...]:
+    """The eps-ladder for an order-2k fit: the default, or the given one, checked.
+
+    The default has 4 rungs for k = 1 and 6 for k >= 2, whose larger basis
+    needs the extra dof.  A given ladder needs rungs in (0, 1) and at least as
+    many distinct rungs as the fit has basis columns (3 or more); a repeated
+    rung only adds samples at its eps and cannot stand in for a missing one.
+    """
+    if eps_ladder is None:
+        return EPS_LADDER if k == 1 else EPS_LADDER_DEEP
+    eps_ladder = tuple(eps_ladder)
+    if not all(0.0 < eps < 1.0 for eps in eps_ladder):
+        raise InvalidArgumentError("ladder epsilons must lie in (0, 1)")
+    columns = _ladder_basis(k, len(eps_ladder)) + 2
+    if len(set(eps_ladder)) < columns:
+        raise InvalidArgumentError(
+            f"eps ladder needs at least {columns} distinct rungs for an order-{2 * k} fit, got {eps_ladder}"
+        )
+    return eps_ladder
 
 
 def _ladder_basis(k: int, rung_count: int) -> int:
@@ -335,8 +352,7 @@ def limit_word_moment(
 ) -> MomentEstimate:
     """Word contribution to the limiting moment (eps -> 0)."""
     ctx = _WordContext(word, kind)
-    if eps_ladder is None:
-        eps_ladder = _default_ladder(word.k)
+    eps_ladder = _ladder(eps_ladder, word.k)
     if ctx.link is MatrixKind.H and not ctx.symmetric:
         return _analytic_zero(word, kind, "non-symmetric Hankel word")
     if method == "quadrature":
@@ -349,8 +365,6 @@ def limit_word_moment(
             word=word,
         )
     if method == "mc-ladder":
-        if len(eps_ladder) < 3:
-            raise InvalidArgumentError("eps ladder needs at least 3 rungs")
         ladder = []
         for r, eps in enumerate(eps_ladder):
             v, se = _mc_truncated(ctx, eps, samples, BATCHES, derive_seed(seed, r))
@@ -403,8 +417,7 @@ def limit_moment(
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    if eps_ladder is None and method == "mc-ladder":
-        eps_ladder = _default_ladder(k)
+    eps_ladder = _ladder(eps_ladder, k)
     words = enumerate_pair_matched_words(k)
     tasks = []
     for i, w in enumerate(words):
@@ -538,7 +551,7 @@ def compare_empirical_limit(
     dist: Distribution = Distribution.STANDARD_NORMAL,
     *,
     method: str = "mc-ladder",
-    samples: int = 200_000,
+    samples: int = COMPARE_SAMPLES,
     threads: int | None = None,
 ) -> ComparisonReport:
     """Averaged empirical ESD moments vs limiting moments, orders 1..2*k_max.

@@ -24,9 +24,10 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .inputs import InputSequence
 
+MATRIX_BUDGET = 2**30  # bytes: the largest dense n x n float64 realization
 _ROUND_GUARD = 1e-9
 
 
@@ -109,10 +110,21 @@ def occurrence_fraction(kind: MatrixKind, x, y):
     return np.minimum(x + y, 2.0 - x - y)
 
 
+def check_matrix_budget(n: int) -> None:
+    """Refuse, before allocating it, an n x n float64 matrix over MATRIX_BUDGET bytes."""
+    need = 8 * int(n) ** 2
+    if need > MATRIX_BUDGET:
+        raise ResourceLimitError(
+            f"an n x n matrix at n={n} needs {need / 2**30:.1f} GiB, over the "
+            f"{MATRIX_BUDGET / 2**30:g} GiB budget"
+        )
+
+
 def build_matrix(kind: MatrixKind, seq: InputSequence, n: int) -> PatternedMatrix:
     """Assemble one realization; symmetry is exact by construction."""
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
+    check_matrix_budget(n)
     need = needed_length(kind, n)
     if seq.length < need:
         raise InvalidArgumentError(

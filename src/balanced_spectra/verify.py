@@ -14,7 +14,7 @@ import numpy as np
 
 from . import eigh, limits, spectra
 from .inputs import Distribution, derive_seed, generate_sequence, truncate_standardize
-from .errors import DegenerateTruncationError
+from .errors import DegenerateTruncationError, InvalidArgumentError
 from .matgen import MatrixKind, build_matrix, needed_length, occurrence_count, principal_submatrix
 from .words import Word, enumerate_pair_matched_words, is_symmetric, linear_forms
 
@@ -206,9 +206,7 @@ SUITES = {
 
 def run_suites(names: list[str] | None = None) -> list[CheckResult]:
     chosen = list(SUITES) if not names or names == ["all"] else names
-    results: list[CheckResult] = []
-    for name in chosen:
-        if name not in SUITES:
-            raise KeyError(name)
-        results.extend(SUITES[name]())
-    return results
+    unknown = [name for name in chosen if name not in SUITES]
+    if unknown:
+        raise InvalidArgumentError(f"unknown suite {unknown[0]!r}")
+    return [result for name in chosen for result in SUITES[name]()]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from balanced_spectra import cli, limits
 from balanced_spectra.cli import main
 from balanced_spectra.matgen import MatrixKind
 from balanced_spectra.words import Word, linear_forms
@@ -62,19 +63,36 @@ def test_simulate_threads_do_not_change_results(tmp_path):
     assert (out1 / "eigenvalues.csv").read_bytes() == (out2 / "eigenvalues.csv").read_bytes()
 
 
-def test_manifest_replay_reproduces_run(tmp_path):
+@pytest.mark.parametrize(
+    "args, results",
+    [
+        (
+            ["simulate", "--kind", "bt", "--n", "25", "--reps", "3", "--dist", "uniform", "--seed", "99", "--bins", "9"],
+            ("eigenvalues.csv", "histogram.csv", "histogram.svg"),
+        ),
+        (
+            ["moments", "--kind", "bh", "--n", "30", "--reps", "3", "--k-max", "1", "--method", "quadrature"],
+            ("moments.json", "moments.csv"),
+        ),
+        (
+            # the ladder stays the raw flag string in the manifest and must replay as one
+            ["limit", "--k", "1", "--samples", "20000", "--seed", "3", "--eps-ladder", "0.2,0.1,0.05"],
+            ("limit.json",),
+        ),
+    ],
+    ids=["simulate", "moments", "limit"],
+)
+def test_manifest_replay_reproduces_run(tmp_path, capsys, args, results):
     out1 = tmp_path / "orig"
-    assert run_cli(
-        "simulate", "--kind", "bt", "--n", "25", "--reps", "3", "--dist", "uniform",
-        "--seed", "99", "--bins", "9", "--threads", "1", "--out", str(out1),
-    ) == 0
+    assert run_cli(*args, "--threads", "1", "--out", str(out1)) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     replay_cfg = tmp_path / "replay.json"
     replay_cfg.write_text(json.dumps(manifest["config"]))
     out2 = tmp_path / "replay"
-    assert run_cli("simulate", "--config", str(replay_cfg), "--out", str(out2)) == 0
-    for name in ("eigenvalues.csv", "histogram.csv", "histogram.svg"):
+    assert run_cli(args[0], "--config", str(replay_cfg), "--out", str(out2)) == 0
+    for name in results:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text())["config"] == manifest["config"]
 
 
 def test_simulate_eps_trim_and_dump(tmp_path):
@@ -112,13 +130,43 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["simulate", "--config", "{cfg}"], 5, "JSON object"),
         (["limit", "--config", "{cfg}"], {"eps_ladder": ["x", 0.1, 0.2]}, "--eps-ladder"),
         (["simulate", "--config", "{cfg}"], {"command": "limit"}, "'limit'"),
+        # each range rule once through its flag and once through a --config value
+        (["simulate", "--n", "0"], None, "--n"),
+        (["simulate", "--config", "{cfg}"], {"n": 0}, "'n'"),
+        (["simulate", "--config", "{cfg}"], {"threads": "2"}, "'threads'"),
+        (["simulate", "--config", "{cfg}"], {"hist_range": "1,inf"}, "finite"),
+        (["limit", "--config", "{cfg}"], {"samples": 0}, "'samples'"),
+        (["simulate", "--eps", "1.5"], None, "--eps"),
+        (["simulate", "--config", "{cfg}"], {"eps": 1.5}, "'eps'"),
+        (["simulate", "--kind", "bx"], None, "--kind"),
+        (["simulate", "--config", "{cfg}"], {"kind": "bx"}, "'kind'"),
+        (["moments", "--method", "simpson"], None, "--method"),
+        (["moments", "--config", "{cfg}"], {"method": "simpson"}, "'method'"),
+        (["limit", "--k", "1", "--eps-ladder", "0.1,0.1,0.1,0.1"], None, "distinct"),
+        (["limit", "--config", "{cfg}"], {"k": 2, "eps_ladder": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1]}, "distinct"),
+        (["limit", "--eps-ladder", "0,0.1,0.2"], None, "(0, 1)"),
+        (["limit", "--config", "{cfg}"], {"eps_ladder": [0.5, 1.0, 0.2]}, "(0, 1)"),
+        (["verify", "--suite", "words,nope"], None, "'nope'"),
+        (["verify", "--config", "{cfg}"], {"suite": "nope"}, "'nope'"),
+        (["limit", "--config", "{cfg}"], {"out": 5}, "'out'"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
         "config-bool-string", "config-not-object", "config-ladder-string", "config-other-command",
+        "n-0", "config-n-0", "config-threads-string", "config-range-inf", "config-samples-0",
+        "eps-1.5", "config-eps-1.5", "kind-unknown", "config-kind-unknown",
+        "method-simpson", "config-method-simpson", "ladder-repeated", "config-ladder-repeated",
+        "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
+        "config-out-number",
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args, config, message):
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any sampling")
+
+    # neither a realization nor a Monte Carlo rung may run before the error
+    for module, name in ((cli, "simulate_spectra"), (limits, "simulate_spectra"), (limits, "_mc_truncated")):
+        monkeypatch.setattr(module, name, no_work)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -154,6 +202,17 @@ def test_words_json_matches_library(tmp_path, capsys):
     abab = entries[1]
     assert abab["closure"]["h"] is False
     assert abab["S"] == [0, 1, 2]
+
+
+def test_simulate_over_matrix_budget_exits_1_before_work(tmp_path, capsys):
+    out = tmp_path / "big"
+    code = run_cli("simulate", "--n", "100000", "--reps", "2", "--out", str(out), "--threads", "1")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "GiB" in captured.err
+    assert not out.exists()
 
 
 def test_limit_json_schema_and_determinism(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.matgen import MatrixKind
 from balanced_spectra.limits import (
@@ -205,6 +206,30 @@ def test_limit_pair_word_ladder(kind):
     assert "ladder" in est.params
     assert len(est.params["ladder"]) == 4
     assert est.params["raw_last_rung"]["eps"] == 0.025
+
+
+@pytest.mark.parametrize(
+    "letters, ladder",
+    [("aabb", (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)), ("aa", (0.1,) * 4), ("aa", (0.1, 0.1, 0.05, 0.05))],
+)
+def test_ladder_needs_a_distinct_rung_per_basis_column(monkeypatch, letters, ladder):
+    # a repeated rung cannot stand in for a missing one: without this check the
+    # singular fit returned 4.000 +- 192757 for aabb and 1.169 +- 0.0 for aa
+    def no_sampling(*args):
+        raise AssertionError("the ladder must be rejected before any rung is sampled")
+
+    monkeypatch.setattr(limits_module, "_mc_truncated", no_sampling)
+    with pytest.raises(InvalidArgumentError, match="distinct rungs"):
+        limit_word_moment(Word(letters), MatrixKind.BT, eps_ladder=ladder, samples=1000)
+    with pytest.raises(InvalidArgumentError, match="distinct rungs"):
+        limit_moment(Word(letters).k, MatrixKind.BT, eps_ladder=ladder, samples=1000, threads=1)
+
+
+def test_ladder_with_a_repeated_rung_still_fits():
+    est = limit_word_moment(AA, MatrixKind.T, eps_ladder=(0.2, 0.1, 0.1, 0.05), samples=200_000, seed=8)
+    assert est.params["log_powers"] == 1
+    assert 0.0 < est.std_error < 0.1
+    assert abs(est.value - 2.0) < 5 * est.std_error
 
 
 def test_ladder_rungs_increase_toward_limit():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from balanced_spectra.errors import InvalidArgumentError
+from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.inputs import Distribution, InputSequence, generate_sequence
 from balanced_spectra.matgen import (
+    MATRIX_BUDGET,
     MatrixKind,
     build_matrix,
+    check_matrix_budget,
     needed_length,
     occurrence_count,
     occurrence_counts,
@@ -170,6 +172,16 @@ def test_submatrix_invalid_inputs():
         principal_submatrix(balanced, 1.0)
     with pytest.raises(InvalidArgumentError):
         principal_submatrix(balanced, -0.1)
+
+
+def test_matrix_budget_checked_before_allocation():
+    largest = math.isqrt(MATRIX_BUDGET // 8)
+    check_matrix_budget(largest)
+    with pytest.raises(ResourceLimitError):
+        check_matrix_budget(largest + 1)
+    # refused before the (too short) sequence is even looked at
+    with pytest.raises(ResourceLimitError, match="n=100000"):
+        build_matrix(MatrixKind.BT, _seq([1.0]), 100_000)
 
 
 def test_entries_read_only():
