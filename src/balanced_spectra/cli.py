@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -391,13 +392,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
-    except BalancedSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (UsageError, InvalidArgumentError)) else 1
+        args = build_parser().parse_args(argv)
+        try:
+            code = _COMMANDS[args.command](resolve_config(args))
+        except BalancedSpectraError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2 if isinstance(exc, (UsageError, InvalidArgumentError)) else 1
+        sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``): send the rest of stdout to devnull
+        # so the exit-time flush cannot fail again, and stop quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

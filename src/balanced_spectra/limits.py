@@ -14,8 +14,9 @@ words that are not parity-symmetric contribute exactly zero.
 Three evaluation routes are provided and cross-checked against each other:
 
 * ``finite_n_word_moment`` -- exact discrete expectation at resolution n
-  (exhaustive enumeration of generating assignments, circuit closure
-  enforced), the finite-size oracle.
+  (exhaustive enumeration of generating assignments, with circuit closure
+  solved for one coordinate where it does not hold identically), the
+  finite-size oracle.
 * ``truncated_word_moment`` -- the integral restricted to an eps-trimmed box
   where the integrand is bounded by eps^-k, via plain Monte Carlo
   (median-of-means) or graded-mesh quadrature.
@@ -28,6 +29,7 @@ Three evaluation routes are provided and cross-checked against each other:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -53,7 +55,7 @@ TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
 TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
 QUADRATURE_MAX_K = 3
 ENUMERATION_BUDGET = 10**9
-_CHUNK = 1 << 20
+_BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
 
 
 class Method(Enum):
@@ -93,16 +95,28 @@ class _WordContext:
         self.k = word.k
 
 
+def _window_mask(ctx: _WordContext, forms, lo, hi, mask: np.ndarray) -> np.ndarray:
+    """``mask`` ANDed with the rows whose dependent forms ``forms[i]`` lie in [lo, hi]."""
+    for i in ctx.dependent:
+        col = forms[i]
+        mask &= (col >= lo) & (col <= hi)
+    return mask
+
+
+def _occurrence_product(ctx: _WordContext, forms, x, occ) -> np.ndarray:
+    """Product over the generating positions i > 0 of ``occ(forms[i-1], x[i])``.
+
+    ``forms[i]`` holds L_i and ``x[c]`` generating coordinate c at each row;
+    ``occ`` is the occurrence rule, a limiting fraction or a count over n.
+    """
+    return functools.reduce(np.multiply, [occ(forms[row], x[col]) for row, col in ctx.gen_pairs])
+
+
 def _integrand_on(ctx: _WordContext, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Indicator-masked integrand values at sample rows ``x`` (shape (N, k+1))."""
-    lvals = x @ ctx.coeffs.T
-    mask = np.ones(x.shape[0], dtype=bool)
-    for i in ctx.dependent:
-        col = lvals[:, i]
-        mask &= (col >= lo) & (col <= hi)
-    denom = np.ones(x.shape[0])
-    for row, col in ctx.gen_pairs:
-        denom *= occurrence_fraction(ctx.link, lvals[:, row], x[:, col])
+    lvals = (x @ ctx.coeffs.T).T
+    mask = _window_mask(ctx, lvals, lo, hi, np.ones(x.shape[0], dtype=bool))
+    denom = _occurrence_product(ctx, lvals, x.T, functools.partial(occurrence_fraction, ctx.link))
     out = np.zeros(x.shape[0])
     np.divide(1.0, denom, out=out, where=mask & (denom > 0.0))
     return out
@@ -112,54 +126,85 @@ def _integrand_on(ctx: _WordContext, x: np.ndarray, lo: float, hi: float) -> np.
 # exact finite-n oracle
 
 
+def _form(coeffs: np.ndarray, x: list) -> np.ndarray:
+    """The integer form sum_c coeffs[c] * x[c], skipping zero coefficients."""
+    return functools.reduce(np.add, [c * x[j] for j, c in enumerate(coeffs) if c])
+
+
 def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0) -> MomentEstimate:
     """Exact discrete word contribution at matrix size n (optionally trimmed).
 
-    Enumerates every assignment of the generating vertices over the retained
-    index window, keeps those whose dependent vertices stay in the window and
-    whose walk closes, and averages the reciprocal product of occurrence
-    counts.  This is the zero-error finite-size reference the continuum
-    estimates are validated against.
+    Sums, over every assignment of the generating vertices to the retained
+    index window whose dependent vertices stay in the window and whose walk
+    closes, the reciprocal product of occurrence counts.  This is the
+    zero-error finite-size reference the continuum estimates are validated
+    against.
+
+    Closure reads c.x = 0 with c = L_{2k} - e_0.  When c vanishes (every
+    Toeplitz word and every symmetric Hankel word) all k+1 coordinates are
+    enumerated; otherwise the coordinate p with the smallest nonzero |c_p| is
+    solved for, so only win^k assignments are enumerated and a row is kept
+    when c_p divides the rest and x_p lands in the window.  Assignments are
+    built in blocks of about ``_BLOCK`` rows as sums of broadcast index axes,
+    and the occurrence product is evaluated on the kept rows only.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    k = word.k
-    if float(n) ** (k + 1) > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"finite-n enumeration n^(k+1) = {n}^{k + 1} exceeds {ENUMERATION_BUDGET:.0e}"
-        )
     ctx = _WordContext(word, kind)
-    lo_i, hi_i = submatrix_window(kind, n, eps)
-    win = hi_i - lo_i + 1
+    lo, hi = submatrix_window(kind, n, eps)
+    win = hi - lo + 1
     if win < 1:
         raise InvalidArgumentError(f"eps={eps} leaves no indices at n={n}")
+    closure = ctx.coeffs[-1].copy()
+    closure[0] -= 1
+    solvable = np.flatnonzero(closure)
+    p = int(solvable[np.argmin(np.abs(closure[solvable]))]) if solvable.size else None
+    free = ctx.k + 1 - (p is not None)
+    if win**free > ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"finite-n enumeration of {win}^{free} = {win**free:.3g} assignments exceeds {ENUMERATION_BUDGET:.0e}"
+        )
+    if p is not None:
+        c_p = closure[p]
+        closure[p] = 0
 
-    dims = (win,) * (k + 1)
-    total = win ** (k + 1)
-    coeffs_t = ctx.coeffs.T
-    acc = 0.0
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        x = np.column_stack(np.unravel_index(flat, dims)).astype(np.int64) + lo_i
-        lvals = x @ coeffs_t
-        mask = lvals[:, -1] == x[:, 0]  # circuit closure
-        for i in ctx.dependent:
-            col = lvals[:, i]
-            mask &= (col >= lo_i) & (col <= hi_i)
-        if not mask.any():
-            continue
-        xs = x[mask]
-        ls = lvals[mask]
-        denom = np.ones(xs.shape[0])
-        for row, col in ctx.gen_pairs:
-            denom *= occurrence_counts(kind, n, ls[:, row], xs[:, col]) / n
-        acc += float(np.sum(1.0 / denom))
-    value = acc / float(n) ** (k + 1)
+    # Each block holds the leading free axes at one value each (`head`), cuts
+    # the next axis into slices of `step` values and spans the last `tail`
+    # axes whole, with win**tail <= _BLOCK.
+    tail = 0
+    while tail < free - 1 and win ** (tail + 1) <= _BLOCK:
+        tail += 1
+    step = max(1, _BLOCK // win**tail)
+    axis = np.arange(lo, hi + 1, dtype=np.int64)
+    tails = [axis.reshape((win,) + (1,) * (tail - 1 - a)) for a in range(tail)]
+
+    def occ(a, b):
+        return occurrence_counts(kind, n, a, b) / n
+
+    block_sums = []
+    for head in itertools.product(axis.tolist(), repeat=free - 1 - tail):
+        for start in range(0, win, step):
+            cut = axis[start : start + step]
+            x = [*head, cut.reshape((-1,) + (1,) * tail), *tails]
+            mask = np.ones((cut.size,) + (win,) * tail, dtype=bool)
+            if p is not None:  # closure: x_p = -(c.x) / c_p must be an integer in the window
+                x.insert(p, 0)
+                x[p], rem = np.divmod(-_form(closure, x), c_p)
+                mask &= (rem == 0) & (x[p] >= lo) & (x[p] <= hi)
+            forms = {i: _form(ctx.coeffs[i], x) for i in ctx.dependent}
+            rows = np.nonzero(_window_mask(ctx, forms, lo, hi, mask))
+            kept = [*head, cut[rows[0]], *(axis[r] for r in rows[1:])]
+            if p is not None:
+                kept.insert(p, 0)
+                kept[p] = -_form(closure, kept) // c_p
+            forms = {row: _form(ctx.coeffs[row], kept) for row, _ in ctx.gen_pairs}
+            block_sums.append(float(np.sum(1.0 / _occurrence_product(ctx, forms, kept, occ))))
+    value = math.fsum(block_sums) / float(n) ** (ctx.k + 1)
     return MomentEstimate(
         value=value,
         std_error=0.0,
         method=Method.FINITE_N,
-        params={"kind": kind.link.value, "n": n, "eps": eps, "window": [lo_i, hi_i]},
+        params={"kind": kind.link.value, "n": n, "eps": eps, "window": [lo, hi]},
         word=word,
     )
 
@@ -298,15 +343,18 @@ def _ladder(eps_ladder, k: int) -> tuple[float, ...]:
 
     The default has 4 rungs for k = 1 and 6 for k >= 2, whose larger basis
     needs the extra dof.  A given ladder needs rungs in (0, 1) and at least as
-    many distinct rungs as the fit has basis columns (3 or more); a repeated
-    rung only adds samples at its eps and cannot stand in for a missing one.
+    many distinct rungs as the default's fit has basis columns (3, 4, 5 and 6
+    for k = 1, 2, 3 and >= 4): a shorter one would be fitted with a capped
+    basis and come out biased, and a repeated rung only adds samples at its
+    eps and cannot stand in for a missing one.
     """
+    default = EPS_LADDER if k == 1 else EPS_LADDER_DEEP
     if eps_ladder is None:
-        return EPS_LADDER if k == 1 else EPS_LADDER_DEEP
+        return default
     eps_ladder = tuple(eps_ladder)
     if not all(0.0 < eps < 1.0 for eps in eps_ladder):
         raise InvalidArgumentError("ladder epsilons must lie in (0, 1)")
-    columns = _ladder_basis(k, len(eps_ladder)) + 2
+    columns = _ladder_basis(k, len(default)) + 2
     if len(set(eps_ladder)) < columns:
         raise InvalidArgumentError(
             f"eps ladder needs at least {columns} distinct rungs for an order-{2 * k} fit, got {eps_ladder}"

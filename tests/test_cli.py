@@ -149,6 +149,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["verify", "--suite", "words,nope"], None, "'nope'"),
         (["verify", "--config", "{cfg}"], {"suite": "nope"}, "'nope'"),
         (["limit", "--config", "{cfg}"], {"out": 5}, "'out'"),
+        (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "distinct"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -157,7 +158,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "eps-1.5", "config-eps-1.5", "kind-unknown", "config-kind-unknown",
         "method-simpson", "config-method-simpson", "ladder-repeated", "config-ladder-repeated",
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
-        "config-out-number",
+        "config-out-number", "ladder-short-for-k",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
@@ -306,6 +307,22 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["word"] == "aa"
+
+
+def test_closed_stdout_exits_1_quietly():
+    # like `words --k 4 | head -1`: the reader leaves after one line of ~180 kB
+    root = Path(__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-m", "balanced_spectra", "words", "--k", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=str(root),
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+    ) as proc:
+        assert proc.stdout.readline().strip() == b"["
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert stderr == b""
+    assert code == 1
 
 
 def test_missing_subcommand_exits_2():

@@ -5,7 +5,7 @@ import pytest
 
 from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
-from balanced_spectra.matgen import MatrixKind
+from balanced_spectra.matgen import MatrixKind, submatrix_window
 from balanced_spectra.limits import (
     Method,
     _WordContext,
@@ -40,18 +40,20 @@ def test_finite_n_pair_word_exact(kind, n):
     assert est.method is Method.FINITE_N
 
 
-def brute_force_circuit_sum(word, kind, n):
+def brute_force_circuit_sum(word, kind, n, window=None):
     """Direct circuit enumeration using only the pairing constraints.
 
-    Walks every map of positions into {1..n} with a closed end, keeps those
-    whose matched steps satisfy the pattern's pair constraint, and sums the
-    reciprocal occurrence products straight from the trace expansion.
+    Walks every map of positions into the index window (default {1..n}) with
+    a closed end, keeps those whose matched steps satisfy the pattern's pair
+    constraint, and sums the reciprocal occurrence products straight from the
+    trace expansion.
     """
     link = kind.link
+    lo, hi = window or (1, n)
     pairs = [(i, j) for i, j in word.pairing.items() if i < j]
     length = word.length
     total = 0.0
-    for pi in itertools.product(range(1, n + 1), repeat=length):
+    for pi in itertools.product(range(lo, hi + 1), repeat=length):
         walk = list(pi) + [pi[0]]
         ok = True
         for i, j in pairs:
@@ -77,13 +79,21 @@ def brute_force_circuit_sum(word, kind, n):
     return total / n ** (word.k + 1)
 
 
-@pytest.mark.parametrize("letters", ["aa", "aabb", "abab", "abba"])
-@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+@pytest.mark.parametrize("letters", ["aa", "aabb", "abab", "abba", "abcabc", "abacbc", "aabcbc", "abacbdcd"])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H, MatrixKind.BT, MatrixKind.BH])
 def test_finite_n_matches_brute_force_circuits(letters, kind):
+    # abab, abacbc, aabcbc and abacbdcd do not close under Hankel, so the oracle
+    # solves one coordinate x_p from the closure; for abacbdcd it reads
+    # x_0 = x_2 - x_3 + x_4, which can leave the window.  eps=0.5 trims the
+    # window at every n here under Toeplitz and at n >= 4 under Hankel
     word = Word(letters)
-    for n in (2, 3, 5, 6):
-        expected = brute_force_circuit_sum(word, kind, n)
-        assert finite_n_word_moment(word, kind, n).value == pytest.approx(expected, abs=1e-12)
+    for n in (2, 3, 5, 6) if word.k < 3 else (2, 3, 4):
+        for eps in (0.0, 0.5):
+            window = submatrix_window(kind, n, eps)
+            est = finite_n_word_moment(word, kind, n, eps)
+            assert est.params["window"] == list(window)
+            expected = brute_force_circuit_sum(word, kind, n, window)
+            assert est.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_finite_n_nonsymmetric_hankel_decays():
@@ -102,8 +112,11 @@ def test_finite_n_nonsymmetric_hankel_decays_all_words_k3():
 
 
 def test_finite_n_budget_guard():
-    with pytest.raises(ResourceLimitError):
+    # the guard counts enumerated rows: win^(k+1) for a closing word ...
+    with pytest.raises(ResourceLimitError, match=r"2000\^3"):
         finite_n_word_moment(Word("aabb"), MatrixKind.T, 2000)
+    # ... and win^k when the closure is solved for one coordinate (1001^2 rows)
+    assert 0.0 < finite_n_word_moment(Word("abab"), MatrixKind.H, 1001).value < 1.0
     with pytest.raises(InvalidArgumentError):
         finite_n_word_moment(AA, MatrixKind.T, 0)
     with pytest.raises(InvalidArgumentError):  # the window would run past n
@@ -210,11 +223,18 @@ def test_limit_pair_word_ladder(kind):
 
 @pytest.mark.parametrize(
     "letters, ladder",
-    [("aabb", (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)), ("aa", (0.1,) * 4), ("aa", (0.1, 0.1, 0.05, 0.05))],
+    [
+        ("aabb", (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)),
+        ("aa", (0.1,) * 4),
+        ("aa", (0.1, 0.1, 0.05, 0.05)),
+        ("aabb", (0.3, 0.2, 0.1)),
+    ],
 )
 def test_ladder_needs_a_distinct_rung_per_basis_column(monkeypatch, letters, ladder):
     # a repeated rung cannot stand in for a missing one: without this check the
-    # singular fit returned 4.000 +- 192757 for aabb and 1.169 +- 0.0 for aa
+    # singular fit returned 4.000 +- 192757 for aabb and 1.169 +- 0.0 for aa;
+    # three rungs at k=2 were fitted with a capped basis, giving 4.035 +- 0.019
+    # for aabb where quadrature gives 4.708
     def no_sampling(*args):
         raise AssertionError("the ladder must be rejected before any rung is sampled")
 
