@@ -343,10 +343,12 @@ def _ladder(eps_ladder, k: int) -> tuple[float, ...]:
 
     The default has 4 rungs for k = 1 and 6 for k >= 2, whose larger basis
     needs the extra dof.  A given ladder needs rungs in (0, 1) and at least as
-    many distinct rungs as the default's fit has basis columns (3, 4, 5 and 6
-    for k = 1, 2, 3 and >= 4): a shorter one would be fitted with a capped
-    basis and come out biased, and a repeated rung only adds samples at its
-    eps and cannot stand in for a missing one.
+    many distinct rungs as the larger of two fits has basis columns: the
+    default ladder's (3, 4, 5 and 6 for k = 1, 2, 3 and >= 4) and its own,
+    which for k >= 5 grows with its length.  A shorter one would be fitted
+    with a capped basis and come out biased, and a repeated rung only adds
+    samples at its eps and cannot stand in for a missing one (the fit's
+    normal matrix would be singular).
     """
     default = EPS_LADDER if k == 1 else EPS_LADDER_DEEP
     if eps_ladder is None:
@@ -354,7 +356,7 @@ def _ladder(eps_ladder, k: int) -> tuple[float, ...]:
     eps_ladder = tuple(eps_ladder)
     if not all(0.0 < eps < 1.0 for eps in eps_ladder):
         raise InvalidArgumentError("ladder epsilons must lie in (0, 1)")
-    columns = _ladder_basis(k, len(default)) + 2
+    columns = _ladder_basis(k, max(len(eps_ladder), len(default))) + 2
     if len(set(eps_ladder)) < columns:
         raise InvalidArgumentError(
             f"eps ladder needs at least {columns} distinct rungs for an order-{2 * k} fit, got {eps_ladder}"

@@ -228,6 +228,7 @@ def test_limit_pair_word_ladder(kind):
         ("aa", (0.1,) * 4),
         ("aa", (0.1, 0.1, 0.05, 0.05)),
         ("aabb", (0.3, 0.2, 0.1)),
+        ("aabbccddee", (0.3, 0.2, 0.15, 0.1, 0.05, 0.025, 0.025)),
     ],
 )
 def test_ladder_needs_a_distinct_rung_per_basis_column(monkeypatch, letters, ladder):
