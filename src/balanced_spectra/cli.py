@@ -62,14 +62,15 @@ def _parse_range(text) -> tuple[float, float] | None:
 
 
 # One frozen dataclass per subcommand, named after it: each field is a key,
-# set by its flag or a --config file and recorded in the manifest.
+# set by its flag or a --config file and recorded in the manifest.  Every
+# subcommand but verify can write result files.
 @dataclass(frozen=True)
-class _Config:
+class _Written:
     out: str | None = _key(None, "output directory (optional)")
 
 
 @dataclass(frozen=True)
-class _Sampled(_Config):
+class _Sampled(_Written):
     kind: str = _key("bt", "ensemble: t, h, bt or bh", parse=MatrixKind.parse)
     seed: int = _key(42, "master seed (64-bit)")
     threads: int | None = _key(None, "worker processes (env BALANCED_SPECTRA_THREADS)", low=1)
@@ -111,13 +112,13 @@ class Limit(_Sampled):
 
 
 @dataclass(frozen=True)
-class Words(_Config):
+class Words(_Written):
     """pair-matched words, forms and closure flags as JSON"""
     k: int = _key(2, "half-length: words of length 2k", low=1)
 
 
 @dataclass(frozen=True)
-class Verify(_Config):
+class Verify:
     """run invariant self-check suites"""
     suite: str = _key("all", "comma list of suites or 'all'")
 
@@ -347,6 +348,7 @@ def cmd_limit(cfg: Limit) -> int:
 
 
 def cmd_words(cfg: Words) -> int:
+    t0 = time.perf_counter()
     entries = []
     for word in enumerate_pair_matched_words(cfg.k):
         forms_t, closure_t = linear_forms(word, MatrixKind.T)
@@ -366,7 +368,9 @@ def cmd_words(cfg: Words) -> int:
     text = json.dumps(entries, indent=2, sort_keys=True)
     print(text)
     if cfg.out:
-        write_json(Path(cfg.out) / "words.json", entries)
+        out = Path(cfg.out)
+        write_json(out / "words.json", entries)
+        write_json(out / "manifest.json", _manifest(cfg, ["words.json"], {"total": time.perf_counter() - t0}))
     return 0
 
 

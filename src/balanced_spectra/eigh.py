@@ -2,8 +2,8 @@
 
 ``np.linalg.eigvalsh`` replaces the Householder + implicit-shift QL solver of
 the original specification, which it matches to roundoff at a small fraction
-of the cost.  Only the lower triangle is read, so callers that need symmetry
-must check it themselves.
+of the cost.  LAPACK reads only the lower triangle, so this module is the one
+place that checks the input: square, finite and exactly symmetric.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError("matrix must be square")
+    # NaN != NaN, so without this a non-finite entry reads as asymmetry
     if not np.isfinite(a).all():
         raise InvalidArgumentError("matrix entries must be finite")
+    if not np.array_equal(a, a.T):
+        raise InvalidArgumentError("matrix must be exactly symmetric")
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

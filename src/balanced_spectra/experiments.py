@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .inputs import Distribution, derive_seed, generate_sequence
@@ -19,12 +21,11 @@ def realization_matrix(kind: MatrixKind, dist: Distribution, n: int, seed: int, 
     return mat
 
 
-def _solve_task(args) -> Spectrum:
-    kind_value, dist_value, n, seed, eps, index = args
-    mat = realization_matrix(
-        MatrixKind(kind_value), Distribution(dist_value), n, seed, eps
-    )
-    extra = {"realization": index}
+def _realization_spectrum(
+    kind: MatrixKind, dist: Distribution, n: int, master_seed: int, eps: float, r: int
+) -> Spectrum:
+    mat = realization_matrix(kind, dist, n, derive_seed(master_seed, r), eps)
+    extra = {"realization": r}
     if eps > 0.0:
         extra["eps"] = eps
     return eigenvalues_symmetric(mat, extra_source=extra)
@@ -41,16 +42,14 @@ def simulate_spectra(
 ) -> list[Spectrum]:
     """Solve ``reps`` independent realizations; deterministic in ``master_seed``."""
     check_matrix_budget(n)  # before any sequence is drawn or worker started
-    tasks = [
-        (kind.value, dist.value, n, derive_seed(master_seed, r), eps, r)
-        for r in range(reps)
-    ]
-    return parallel_map(_solve_task, tasks, workers=threads)
+    solve = functools.partial(_realization_spectrum, kind, dist, n, master_seed, eps)
+    return parallel_map(solve, range(reps), workers=threads)
 
 
-def _trace_task(args) -> float:
-    kind_value, dist_value, n, seed, h, eps = args
-    mat = realization_matrix(MatrixKind(kind_value), Distribution(dist_value), n, seed, eps)
+def _realization_trace(
+    kind: MatrixKind, dist: Distribution, n: int, master_seed: int, eps: float, h: int, r: int
+) -> float:
+    mat = realization_matrix(kind, dist, n, derive_seed(master_seed, r), eps)
     return trace_power(mat, h) / mat.parent_n
 
 
@@ -68,8 +67,5 @@ def trace_moment_samples(
 
     Computed by matrix powers, no eigensolve; used for variance-decay studies.
     """
-    tasks = [
-        (kind.value, dist.value, n, derive_seed(master_seed, r), h, eps)
-        for r in range(reps)
-    ]
-    return np.array(parallel_map(_trace_task, tasks, workers=threads))
+    trace = functools.partial(_realization_trace, kind, dist, n, master_seed, eps, h)
+    return np.array(parallel_map(trace, range(reps), workers=threads))

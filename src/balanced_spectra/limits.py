@@ -443,9 +443,13 @@ def limit_word_moment(
 # aggregated moments
 
 
-def _limit_word_task(args) -> MomentEstimate:
-    letters, kind_value, method, kwargs = args
-    return limit_word_moment(Word(letters), MatrixKind(kind_value), method, **kwargs)
+def _word_estimate(
+    words: list[Word], kind: MatrixKind, method: str, eps_ladder: tuple[float, ...],
+    samples: int, seed: int, grid: int, i: int,
+) -> MomentEstimate:
+    return limit_word_moment(
+        words[i], kind, method, eps_ladder=eps_ladder, samples=samples, seed=derive_seed(seed, i), grid=grid
+    )
 
 
 def limit_moment(
@@ -469,11 +473,8 @@ def limit_moment(
         raise InvalidArgumentError("k must be >= 1")
     eps_ladder = _ladder(eps_ladder, k)
     words = enumerate_pair_matched_words(k)
-    tasks = []
-    for i, w in enumerate(words):
-        kwargs = dict(eps_ladder=eps_ladder, samples=samples, seed=derive_seed(seed, i), grid=grid)
-        tasks.append((w.letters, kind.value, method, kwargs))
-    estimates = parallel_map(_limit_word_task, tasks, workers=threads)
+    estimate = functools.partial(_word_estimate, words, kind, method, eps_ladder, samples, seed, grid)
+    estimates = parallel_map(estimate, range(len(words)), workers=threads)
     value = sum(e.value for e in estimates)
     se = math.sqrt(sum(e.std_error**2 for e in estimates))
     per_word = []

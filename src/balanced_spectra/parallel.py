@@ -1,8 +1,8 @@
 """Deterministic task fan-out.
 
-Results never depend on the worker count: every task carries its own derived
-seed and the reduction happens in submission order.  If a process pool cannot
-be created (restricted sandboxes), the map silently runs serially.
+Results never depend on the worker count: every task derives its own seed
+from its index and the reduction happens in submission order.  If a process
+pool cannot be created (restricted sandboxes), the map silently runs serially.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ def resolve_workers(threads: int | None = None) -> int:
 def parallel_map(fn, items, workers: int | None = None) -> list:
     """Order-preserving map over ``items`` using up to ``workers`` processes.
 
-    ``fn`` must be picklable (a module-level function or a partial of one).
-    Falls back to a serial loop when the sandbox refuses to fork; exceptions
-    raised by ``fn`` itself always propagate.
+    Callers pass a ``functools.partial`` of a module-level function that binds
+    the shared native arguments (enums, words) and map it over plain indices,
+    so nothing is packed into tuples for the workers to unpack.  Falls back to
+    a serial loop when the sandbox refuses to fork; exceptions raised by ``fn``
+    itself always propagate.
     """
     items = list(items)
     count = resolve_workers(workers)

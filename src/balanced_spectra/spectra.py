@@ -96,15 +96,8 @@ def eigenvalues_symmetric(mat, extra_source: dict | None = None) -> Spectrum:
     spectrum) or a plain symmetric ndarray.
     """
     a = _entries_of(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError("matrix must be square")
-    # NaN != NaN, so without this a non-finite entry reads as asymmetry
-    if not np.isfinite(a).all():
-        raise InvalidArgumentError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
-        raise InvalidArgumentError("matrix must be exactly symmetric")
+    values = symmetric_eigenvalues(a)  # checks a is square, finite and symmetric
     n = a.shape[0]
-    values = symmetric_eigenvalues(a)
 
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     trace_gap = abs(float(values.sum()) - float(np.trace(a)))
@@ -179,7 +172,7 @@ def levy_distance(f: EmpiricalDistribution, g: EmpiricalDistribution) -> float:
 
 
 def hoffman_wielandt_gap(a, b) -> tuple[float, float]:
-    """Both sides of the Hoffman-Wielandt bound for a pair of matrices.
+    """Both sides of the Hoffman-Wielandt bound for a pair of symmetric matrices.
 
     Returns ``(lhs, rhs)`` with lhs = (1/n) sum (lambda_i(A) - lambda_i(B))^2
     over ascending-sorted spectra and rhs = (1/n) Tr (A-B)^2; the contract is

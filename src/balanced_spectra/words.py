@@ -138,29 +138,19 @@ def linear_forms(word: Word, kind: MatrixKind) -> tuple[list[LinearForm], bool]:
     ``closure`` reports whether L_{2k} is symbolically the position-0 vertex,
     i.e. whether the constrained walk always returns to its start.
     """
-    link = kind.link
     vertices = generating_vertices(word)
-    index_of = {v: i for i, v in enumerate(vertices)}
-    width = len(vertices)
-
-    rows: list[np.ndarray] = []
-    unit0 = np.zeros(width, dtype=np.int64)
-    unit0[0] = 1
-    rows.append(unit0)
+    unit = {v: tuple(int(v == u) for u in vertices) for v in vertices}
+    rows = [unit[0]]
     for pos in range(1, word.length + 1):
-        if pos in index_of:
-            row = np.zeros(width, dtype=np.int64)
-            row[index_of[pos]] = 1
-        else:
-            mate = word.pairing[pos]
-            if link is MatrixKind.T:
-                row = rows[pos - 1] + rows[mate - 1] - rows[mate]
-            else:
-                row = rows[mate - 1] + rows[mate] - rows[pos - 1]
-        rows.append(row)
-    closure = bool(np.array_equal(rows[-1], unit0))
-    forms = [LinearForm(vertices=vertices, coeffs=tuple(int(c) for c in row)) for row in rows]
-    return forms, closure
+        if pos in unit:
+            rows.append(unit[pos])
+            continue
+        mate = word.pairing[pos]
+        # rows[a] + rows[b] - rows[c], the two pattern rules of the module docstring
+        a, b, c = (pos - 1, mate - 1, mate) if kind.link is MatrixKind.T else (mate - 1, mate, pos - 1)
+        rows.append(tuple(x + y - z for x, y, z in zip(rows[a], rows[b], rows[c])))
+    forms = [LinearForm(vertices=vertices, coeffs=row) for row in rows]
+    return forms, rows[-1] == rows[0]
 
 
 def form_matrix(forms: list[LinearForm]) -> np.ndarray:

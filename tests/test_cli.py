@@ -67,24 +67,27 @@ def test_simulate_threads_do_not_change_results(tmp_path):
     "args, results",
     [
         (
-            ["simulate", "--kind", "bt", "--n", "25", "--reps", "3", "--dist", "uniform", "--seed", "99", "--bins", "9"],
+            ["simulate", "--kind", "bt", "--n", "25", "--reps", "3", "--dist", "uniform", "--seed", "99", "--bins", "9",
+             "--threads", "1"],
             ("eigenvalues.csv", "histogram.csv", "histogram.svg"),
         ),
         (
-            ["moments", "--kind", "bh", "--n", "30", "--reps", "3", "--k-max", "1", "--method", "quadrature"],
+            ["moments", "--kind", "bh", "--n", "30", "--reps", "3", "--k-max", "1", "--method", "quadrature",
+             "--threads", "1"],
             ("moments.json", "moments.csv"),
         ),
         (
             # the ladder stays the raw flag string in the manifest and must replay as one
-            ["limit", "--k", "1", "--samples", "20000", "--seed", "3", "--eps-ladder", "0.2,0.1,0.05"],
+            ["limit", "--k", "1", "--samples", "20000", "--seed", "3", "--eps-ladder", "0.2,0.1,0.05", "--threads", "1"],
             ("limit.json",),
         ),
+        (["words", "--k", "3"], ("words.json",)),
     ],
-    ids=["simulate", "moments", "limit"],
+    ids=["simulate", "moments", "limit", "words"],
 )
 def test_manifest_replay_reproduces_run(tmp_path, capsys, args, results):
     out1 = tmp_path / "orig"
-    assert run_cli(*args, "--threads", "1", "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out1)) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     replay_cfg = tmp_path / "replay.json"
     replay_cfg.write_text(json.dumps(manifest["config"]))
@@ -150,6 +153,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["verify", "--config", "{cfg}"], {"suite": "nope"}, "'nope'"),
         (["limit", "--config", "{cfg}"], {"out": 5}, "'out'"),
         (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "distinct"),
+        (["verify", "--config", "{cfg}"], {"out": "x"}, "unknown config keys"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -158,7 +162,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "eps-1.5", "config-eps-1.5", "kind-unknown", "config-kind-unknown",
         "method-simpson", "config-method-simpson", "ladder-repeated", "config-ladder-repeated",
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
-        "config-out-number", "ladder-short-for-k",
+        "config-out-number", "ladder-short-for-k", "config-verify-out",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
@@ -296,6 +300,15 @@ def test_verify_quick_suites(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "--suite", "nope") == 2
+
+
+def test_verify_has_no_out_flag(tmp_path, capsys):
+    # verify writes no result files, so it takes no output directory
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_module_entry_point(tmp_path):

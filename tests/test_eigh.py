@@ -71,6 +71,9 @@ def test_trace_identities_every_solve():
 def test_invalid_inputs():
     with pytest.raises(InvalidArgumentError):
         symmetric_eigenvalues(np.zeros((2, 3)))
+    # LAPACK reads one triangle only: an asymmetric matrix must not be solved
+    with pytest.raises(InvalidArgumentError, match="symmetric"):
+        symmetric_eigenvalues(np.array([[0.0, 5.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -169,6 +169,9 @@ def test_hoffman_wielandt_inequality_random_ensembles():
 def test_hoffman_wielandt_dimension_mismatch():
     with pytest.raises(InvalidArgumentError):
         hoffman_wielandt_gap(np.eye(3), np.eye(4))
+    # an asymmetric matrix must fail, not be solved from its lower triangle
+    with pytest.raises(InvalidArgumentError, match="symmetric"):
+        hoffman_wielandt_gap(np.array([[0.0, 5.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
 # --- submatrix Levy bounds ------------------------------------------------

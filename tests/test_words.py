@@ -111,6 +111,7 @@ def test_generating_vertices_examples():
 def test_linear_forms_hand_values():
     forms, closure = linear_forms(Word("aa"), MatrixKind.T)
     assert [f.coeffs for f in forms] == [(1, 0), (0, 1), (1, 0)]
+    assert all(type(c) is int for f in forms for c in f.coeffs)
     assert closure
 
     forms, closure = linear_forms(Word("abab"), MatrixKind.T)
