@@ -25,7 +25,9 @@ import numpy as np
 from . import __version__
 from .errors import BalancedSpectraError, InvalidArgumentError, UsageError
 from .inputs import Distribution, derive_seed
-from .limits import COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, compare_empirical_limit, limit_moment
+from .limits import (
+    COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, LIMIT_METHODS, MIN_GRID, compare_empirical_limit, limit_moment,
+)
 from .matgen import MatrixKind
 from .persist import atomic_write_text, write_csv, write_json
 from .render import histogram_svg
@@ -96,7 +98,7 @@ class Moments(_Sampled):
     reps: int = _key(15, "number of realizations", low=1)
     dist: str = _key("normal", "input law: normal, rademacher, uniform", parse=Distribution.parse)
     k_max: int = _key(2, "compare orders 1..2*k_max", low=1)
-    method: str = _key("mc-ladder", "limit method", choices=("mc-ladder", "quadrature"))
+    method: str = _key("mc-ladder", "limit method", choices=LIMIT_METHODS)
     samples: int = _key(COMPARE_SAMPLES, "Monte Carlo samples per rung", low=1)
 
 
@@ -105,9 +107,9 @@ class Limit(_Sampled):
     """limiting moment of order 2k with per-word breakdown"""
     seed: int = _key(7, "master seed (64-bit)")
     k: int = _key(1, "half-order: computes the order-2k moment", low=1)
-    method: str = _key("mc-ladder", "limit method", choices=("mc-ladder", "quadrature"))
+    method: str = _key("mc-ladder", "limit method", choices=LIMIT_METHODS)
     samples: int = _key(DEFAULT_SAMPLES, "Monte Carlo samples per rung", low=1)
-    grid: int = _key(DEFAULT_GRID, "quadrature cells per axis", low=1)
+    grid: int = _key(DEFAULT_GRID, "quadrature cells per axis", low=MIN_GRID)
     eps_ladder: str | None = _key(None, "comma list of rung epsilons", parse=_floats)
 
 

@@ -42,7 +42,7 @@ from .inputs import Distribution, derive_seed
 from .matgen import MatrixKind, occurrence_counts, occurrence_fraction, submatrix_window, trimmed_interval
 from .parallel import parallel_map
 from .spectra import moment
-from .words import Word, enumerate_pair_matched_words, form_matrix, generating_vertices, is_symmetric, linear_forms
+from .words import MAX_K, Word, enumerate_pair_matched_words, form_matrix, generating_vertices, is_symmetric, linear_forms
 
 EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 EPS_LADDER_DEEP = (0.3, 0.2, 0.15, 0.1, 0.05, 0.025)
@@ -53,7 +53,10 @@ BATCHES = 16  # median-of-means batches per Monte Carlo rung
 GRADING = 0.7  # geometric cell ratio of the quadrature mesh
 TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
 TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
+LIMIT_METHODS = ("mc-ladder", "quadrature")
 QUADRATURE_MAX_K = 3
+MIN_GRID = 4  # the error bar's coarse mesh, grid // 2 cells, needs at least 2
+QUADRATURE_BUDGET = 2**30  # bytes: the working set of one node's slice of the quadrature grid
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
 
@@ -79,7 +82,7 @@ class MomentEstimate:
 class _WordContext:
     """Precomputed evaluation data for one (word, pattern) pair."""
 
-    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "symmetric", "k")
+    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "k")
 
     def __init__(self, word: Word, kind: MatrixKind):
         self.word = word
@@ -91,7 +94,6 @@ class _WordContext:
         self.dependent = [i for i in range(1, word.length) if i not in col_of]
         # one occurrence factor per generating position i > 0: occ(L_{i-1}, x_i)
         self.gen_pairs = [(i - 1, col_of[i]) for i in vertices if i > 0]
-        self.symmetric = is_symmetric(word)
         self.k = word.k
 
 
@@ -217,8 +219,6 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     lo, hi = trimmed_interval(ctx.link, eps)
     if eps <= 0.0:
         raise InvalidArgumentError("plain Monte Carlo needs eps > 0 (bounded integrand)")
-    if samples < 1:
-        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     if batches < 2:
         raise InvalidArgumentError(f"batches must be >= 2 for a standard error, got {batches}")
     per_batch = max(1, int(math.ceil(samples / batches)))
@@ -276,10 +276,8 @@ def _quadrature_value(ctx: _WordContext, eps: float, grid: int) -> float:
 
 def _quadrature_estimate(ctx: _WordContext, eps: float, grid: int) -> tuple[float, float]:
     """Quadrature value on ``grid`` cells, with |fine - coarse| (half grid) as its error."""
-    if ctx.k > QUADRATURE_MAX_K:
-        raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}")
     value = _quadrature_value(ctx, eps, grid)
-    coarse = _quadrature_value(ctx, eps, max(8, grid // 2))
+    coarse = _quadrature_value(ctx, eps, grid // 2)
     return value, abs(value - coarse)
 
 
@@ -287,14 +285,58 @@ def _quadrature_estimate(ctx: _WordContext, eps: float, grid: int) -> tuple[floa
 # public per-word estimates
 
 
-def _analytic_zero(word: Word, kind: MatrixKind, reason: str) -> MomentEstimate:
-    return MomentEstimate(
-        value=0.0,
-        std_error=0.0,
-        method=Method.ANALYTIC,
-        params={"kind": kind.link.value, "reason": reason},
-        word=word,
-    )
+def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMIT_METHODS):
+    """Check an order-2k request before any work; return its eps-ladder and
+    the highest log power j_max of the ladder's fit.
+
+    Quadrature stops above ``QUADRATURE_MAX_K`` and when one node's slice of
+    the grid, (2 cells)^k rows of about 6(k+1) float64 values, would exceed
+    ``QUADRATURE_BUDGET``.  The default ladder has 4 rungs for k = 1 and 6 for
+    k >= 2, whose larger basis needs the extra dof.  A fit has j_max + 2
+    columns (3, 4, 5, 6 for the default at k = 1, 2, 3, >= 4; more for a
+    longer ladder at k >= 5), and a given ladder needs as many distinct
+    rungs: fewer would cap the basis and bias the value, and a repeated rung
+    only adds samples at its eps (the fit's normal matrix would be singular).
+    """
+    if method not in methods:
+        raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    if grid < MIN_GRID:
+        raise InvalidArgumentError(f"grid must be >= {MIN_GRID}, got {grid}")
+    default = EPS_LADDER if k == 1 else EPS_LADDER_DEEP
+    ladder = default if eps_ladder is None else tuple(eps_ladder)
+    if not all(0.0 < eps < 1.0 for eps in ladder):
+        raise InvalidArgumentError("ladder epsilons must lie in (0, 1)")
+    j_max = min(k, max(len(ladder), len(default)) - 2)
+    if len(set(ladder)) < j_max + 2:
+        raise InvalidArgumentError(
+            f"eps ladder needs at least {j_max + 2} distinct rungs for an order-{2 * k} fit, got {ladder}"
+        )
+    if method == "quadrature":
+        if k > QUADRATURE_MAX_K:
+            raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}, got k={k}")
+        cells = grid + grid % 2  # as _graded_axis rounds it
+        need = 8 * 6 * (k + 1) * (2 * cells) ** k
+        if need > QUADRATURE_BUDGET:
+            raise ResourceLimitError(
+                f"quadrature at k={k}, grid={grid} needs about {need / 2**30:.3g} GiB per node, over the "
+                f"{QUADRATURE_BUDGET / 2**30:g} GiB budget"
+            )
+    return ladder, j_max
+
+
+def _hankel_zero(word: Word, kind: MatrixKind) -> MomentEstimate | None:
+    """The exact zero a non-symmetric Hankel word contributes, else None."""
+    if kind.link is MatrixKind.H and not is_symmetric(word):
+        return MomentEstimate(
+            value=0.0,
+            std_error=0.0,
+            method=Method.ANALYTIC,
+            params={"kind": kind.link.value, "reason": "non-symmetric Hankel word"},
+            word=word,
+        )
+    return None
 
 
 def truncated_word_moment(
@@ -314,59 +356,20 @@ def truncated_word_moment(
     """
     if not 0.0 < eps < 1.0:
         raise InvalidArgumentError("eps must lie in (0, 1)")
+    _plan(word.k, method, None, samples, grid, methods=("mc", "quadrature"))
+    if (zero := _hankel_zero(word, kind)) is not None:
+        return zero
     ctx = _WordContext(word, kind)
-    if ctx.link is MatrixKind.H and not ctx.symmetric:
-        return _analytic_zero(word, kind, "non-symmetric Hankel word")
     if method == "mc":
         value, se = _mc_truncated(ctx, eps, samples, BATCHES, seed)
-        return MomentEstimate(
-            value=value,
-            std_error=se,
-            method=Method.MC_LADDER,
-            params={"kind": ctx.link.value, "eps": eps, "samples": samples, "batches": BATCHES, "seed": seed},
-            word=word,
-        )
-    if method == "quadrature":
+        params = {"samples": samples, "batches": BATCHES, "seed": seed}
+    else:
         value, se = _quadrature_estimate(ctx, eps, grid)
-        return MomentEstimate(
-            value=value,
-            std_error=se,
-            method=Method.QUADRATURE,
-            params={"kind": ctx.link.value, "eps": eps, "grid": grid, "grading": GRADING},
-            word=word,
-        )
-    raise InvalidArgumentError(f"unknown truncated-moment method {method!r}")
-
-
-def _ladder(eps_ladder, k: int) -> tuple[float, ...]:
-    """The eps-ladder for an order-2k fit: the default, or the given one, checked.
-
-    The default has 4 rungs for k = 1 and 6 for k >= 2, whose larger basis
-    needs the extra dof.  A given ladder needs rungs in (0, 1) and at least as
-    many distinct rungs as the larger of two fits has basis columns: the
-    default ladder's (3, 4, 5 and 6 for k = 1, 2, 3 and >= 4) and its own,
-    which for k >= 5 grows with its length.  A shorter one would be fitted
-    with a capped basis and come out biased, and a repeated rung only adds
-    samples at its eps and cannot stand in for a missing one (the fit's
-    normal matrix would be singular).
-    """
-    default = EPS_LADDER if k == 1 else EPS_LADDER_DEEP
-    if eps_ladder is None:
-        return default
-    eps_ladder = tuple(eps_ladder)
-    if not all(0.0 < eps < 1.0 for eps in eps_ladder):
-        raise InvalidArgumentError("ladder epsilons must lie in (0, 1)")
-    columns = _ladder_basis(k, max(len(eps_ladder), len(default))) + 2
-    if len(set(eps_ladder)) < columns:
-        raise InvalidArgumentError(
-            f"eps ladder needs at least {columns} distinct rungs for an order-{2 * k} fit, got {eps_ladder}"
-        )
-    return eps_ladder
-
-
-def _ladder_basis(k: int, rung_count: int) -> int:
-    """Highest log power in the extrapolation basis, capped by the DOF."""
-    return max(1, min(k, rung_count - 2))
+        params = {"grid": grid, "grading": GRADING}
+    method = Method.MC_LADDER if method == "mc" else Method.QUADRATURE
+    return MomentEstimate(
+        value=value, std_error=se, method=method, params={"kind": ctx.link.value, "eps": eps, **params}, word=word
+    )
 
 
 def _ladder_extrapolate(rungs: list[tuple[float, float, float]], j_max: int) -> tuple[float, float]:
@@ -401,42 +404,30 @@ def limit_word_moment(
     grid: int = DEFAULT_GRID,
 ) -> MomentEstimate:
     """Word contribution to the limiting moment (eps -> 0)."""
+    eps_ladder, j_max = _plan(word.k, method, eps_ladder, samples, grid)
+    if (zero := _hankel_zero(word, kind)) is not None:
+        return zero
     ctx = _WordContext(word, kind)
-    eps_ladder = _ladder(eps_ladder, word.k)
-    if ctx.link is MatrixKind.H and not ctx.symmetric:
-        return _analytic_zero(word, kind, "non-symmetric Hankel word")
     if method == "quadrature":
         value, se = _quadrature_estimate(ctx, 0.0, grid)
-        return MomentEstimate(
-            value=value,
-            std_error=se,
-            method=Method.QUADRATURE,
-            params={"kind": ctx.link.value, "grid": grid, "grading": GRADING},
-            word=word,
-        )
-    if method == "mc-ladder":
+        params = {"grid": grid, "grading": GRADING}
+    else:
         ladder = []
         for r, eps in enumerate(eps_ladder):
             v, se = _mc_truncated(ctx, eps, samples, BATCHES, derive_seed(seed, r))
             ladder.append((eps, v, se))
-        j_max = _ladder_basis(word.k, len(ladder))
         value, se = _ladder_extrapolate(ladder, j_max)
-        return MomentEstimate(
-            value=value,
-            std_error=se,
-            method=Method.MC_LADDER,
-            params={
-                "kind": ctx.link.value,
-                "ladder": [{"eps": e, "value": v, "std_error": s} for e, v, s in ladder],
-                "raw_last_rung": {"eps": ladder[-1][0], "value": ladder[-1][1], "std_error": ladder[-1][2]},
-                "log_powers": j_max,
-                "samples": samples,
-                "batches": BATCHES,
-                "seed": seed,
-            },
-            word=word,
-        )
-    raise InvalidArgumentError(f"unknown limit-moment method {method!r}")
+        params = {
+            "ladder": [{"eps": e, "value": v, "std_error": s} for e, v, s in ladder],
+            "raw_last_rung": {"eps": ladder[-1][0], "value": ladder[-1][1], "std_error": ladder[-1][2]},
+            "log_powers": j_max,
+            "samples": samples,
+            "batches": BATCHES,
+            "seed": seed,
+        }
+    return MomentEstimate(
+        value=value, std_error=se, method=Method(method), params={"kind": ctx.link.value, **params}, word=word
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,7 @@ def limit_moment(
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    eps_ladder = _ladder(eps_ladder, k)
+    eps_ladder, _ = _plan(k, method, eps_ladder, samples, grid)
     words = enumerate_pair_matched_words(k)
     estimate = functools.partial(_word_estimate, words, kind, method, eps_ladder, samples, seed, grid)
     estimates = parallel_map(estimate, range(len(words)), workers=threads)
@@ -500,13 +491,13 @@ def limit_moment(
     if method == "mc-ladder":
         params["eps_ladder"] = list(eps_ladder)
         params["ladder"] = _aggregate_ladder(per_word, eps_ladder)
-    if method == "quadrature":
+    else:
         params["grid"] = grid
         params["grading"] = GRADING
     return MomentEstimate(
         value=value,
         std_error=se,
-        method=Method.MC_LADDER if method == "mc-ladder" else Method.QUADRATURE,
+        method=Method(method),
         params=params,
         word=None,
     )
@@ -615,6 +606,9 @@ def compare_empirical_limit(
         raise InvalidArgumentError("empirical-vs-limit comparison targets balanced kinds (bt, bh)")
     if reps < 2:
         raise InvalidArgumentError("need reps >= 2 for standard errors")
+    _plan(k_max, method, None, samples, DEFAULT_GRID)
+    if k_max > MAX_K:
+        raise ResourceLimitError(f"orders up to {2 * k_max} need words of k={k_max}, over the enumeration cap {MAX_K}")
     spectra = simulate_spectra(kind, dist, n, reps, seed, threads=threads)
     rows = []
     for order in range(1, 2 * k_max + 1):

@@ -77,13 +77,14 @@ def needed_length(kind: MatrixKind, n: int) -> int:
 def occurrence_counts(kind: MatrixKind, n, i, j):
     """Occurrence counts of the variables at 1-based indices (i, j), elementwise.
 
-    ``n - |i-j|`` for the Toeplitz pattern, ``min(i+j-1, 2n-i-j+1)`` for
-    Hankel (balanced kinds are reduced to their pattern).  ``i`` and ``j``
-    broadcast against each other and are not range-checked.
+    ``n - |i-j|`` for the Toeplitz pattern, ``min(i+j-1, 2n-i-j+1)``, that is
+    ``n - |i+j-(n+1)|``, for Hankel (balanced kinds are reduced to their
+    pattern).  ``i`` and ``j`` broadcast against each other and are not
+    range-checked.
     """
     if kind.link is MatrixKind.T:
         return n - np.abs(i - j)
-    return np.minimum(i + j - 1, 2 * n - i - j + 1)
+    return n - np.abs(i + j - (n + 1))
 
 
 def occurrence_count(kind: MatrixKind, n: int, i: int, j: int) -> int:

@@ -85,16 +85,15 @@ def suite_words() -> list[CheckResult]:
         _check(out, "words", f"count k={k}", len(ws) == double_fact(k), f"{len(ws)}")
         sym = sum(1 for w in ws if is_symmetric(w))
         _check(out, "words", f"symmetric count k={k}", sym == math.factorial(k), f"{sym}")
-        t_closed = all(linear_forms(w, MatrixKind.T)[1] for w in ws)
+        # each word's forms once per pattern, one word at a time
+        t_closed = h_match = sums_ok = True
+        for w in ws:
+            (forms_t, closed_t), (forms_h, closed_h) = linear_forms(w, MatrixKind.T), linear_forms(w, MatrixKind.H)
+            t_closed &= closed_t
+            h_match &= closed_h == is_symmetric(w)
+            sums_ok &= all(sum(f.coeffs) == 1 for f in forms_t + forms_h)
         _check(out, "words", f"toeplitz closure k={k}", t_closed)
-        h_match = all(linear_forms(w, MatrixKind.H)[1] == is_symmetric(w) for w in ws)
         _check(out, "words", f"hankel closure iff symmetric k={k}", h_match)
-        sums_ok = all(
-            sum(f.coeffs) == 1
-            for w in ws
-            for kind in (MatrixKind.T, MatrixKind.H)
-            for f in linear_forms(w, kind)[0]
-        )
         _check(out, "words", f"affine coefficient sums k={k}", sums_ok)
     return out
 

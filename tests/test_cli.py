@@ -15,6 +15,17 @@ def run_cli(*args):
     return main(list(args))
 
 
+def forbid_work(monkeypatch, why):
+    """Make any realization, Monte Carlo rung or quadrature node fail the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(why)
+
+    for module, name in (
+        (cli, "simulate_spectra"), (limits, "simulate_spectra"), (limits, "_mc_truncated"), (limits, "_quadrature_value"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+
+
 def test_simulate_writes_expected_files(tmp_path):
     out = tmp_path / "run"
     code = run_cli(
@@ -154,6 +165,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["limit", "--config", "{cfg}"], {"out": 5}, "'out'"),
         (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "distinct"),
         (["verify", "--config", "{cfg}"], {"out": "x"}, "unknown config keys"),
+        (["limit", "--method", "quadrature", "--grid", "2"], None, "grid"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -162,16 +174,11 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "eps-1.5", "config-eps-1.5", "kind-unknown", "config-kind-unknown",
         "method-simpson", "config-method-simpson", "ladder-repeated", "config-ladder-repeated",
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
-        "config-out-number", "ladder-short-for-k", "config-verify-out",
+        "config-out-number", "ladder-short-for-k", "config-verify-out", "quadrature-grid-2",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
-    def no_work(*args, **kwargs):
-        raise AssertionError("bad input must be rejected before any sampling")
-
-    # neither a realization nor a Monte Carlo rung may run before the error
-    for module, name in ((cli, "simulate_spectra"), (limits, "simulate_spectra"), (limits, "_mc_truncated")):
-        monkeypatch.setattr(module, name, no_work)
+    forbid_work(monkeypatch, "bad input must be rejected before any sampling")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -217,6 +224,28 @@ def test_simulate_over_matrix_budget_exits_1_before_work(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "GiB" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["moments", "--k-max", "8"], "enumeration cap"),
+        (["moments", "--method", "quadrature", "--k-max", "4"], "k <= 3"),
+        (["limit", "--k", "2", "--method", "quadrature", "--grid", "10000000", "--threads", "1"], "GiB"),
+    ],
+    ids=["moments-words-cap", "moments-quadrature-cap", "limit-quadrature-budget"],
+)
+def test_estimate_over_cap_exits_1_before_work(tmp_path, capsys, monkeypatch, args, message):
+    # moments used to simulate and fit every lower order before refusing the
+    # top one, and the quadrature grid used to end in numpy's _ArrayMemoryError
+    forbid_work(monkeypatch, "a capped request must be refused before any work")
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
     assert not out.exists()
 
 

@@ -123,6 +123,23 @@ def test_finite_n_budget_guard():
         finite_n_word_moment(AA, MatrixKind.T, 10, eps=-0.5)
 
 
+def test_quadrature_budget_guard(monkeypatch):
+    # grid 10^7 at k=2 would allocate (2 * 10^7)^2 rows per node: refused before
+    # any node is evaluated, where it used to end in numpy's _ArrayMemoryError
+    def no_nodes(*args):
+        raise AssertionError("an over-budget grid must be refused before quadrature runs")
+
+    monkeypatch.setattr(limits_module, "_quadrature_value", no_nodes)
+    with pytest.raises(ResourceLimitError, match="GiB"):
+        limit_word_moment(Word("aabb"), MatrixKind.T, "quadrature", grid=10**7)
+    with pytest.raises(ResourceLimitError, match="GiB"):
+        limit_moment(1, MatrixKind.T, "quadrature", grid=10**9, threads=1)
+    # the default grid passes the guard at every k quadrature supports
+    monkeypatch.setattr(limits_module, "_quadrature_value", lambda ctx, eps, grid: 0.0)
+    for letters in ("aa", "aabb", "aabbcc"):
+        assert limit_word_moment(Word(letters), MatrixKind.T, "quadrature").value == 0.0
+
+
 def test_finite_n_trimmed_window_matches_truncated_integral():
     # n = 200 at eps = 0.2: discrete trimmed sum within 2% of the integral
     for letters in ("aa", "aabb", "abab", "abba"):
@@ -309,11 +326,38 @@ def test_quadrature_k_cap():
         limit_word_moment(Word("aabbccdd"), MatrixKind.T, "quadrature")
 
 
+def test_quadrature_error_bar_compares_half_the_grid(monkeypatch):
+    # at grid 8 the coarse mesh used to be max(8, grid // 2) = 8 cells, the
+    # fine mesh itself, so 1.97996 came with an error bar of exactly 0.0
+    est = limit_word_moment(AA, MatrixKind.T, "quadrature", grid=8)
+    assert est.std_error > 0.0
+    assert abs(est.value - 2.0) <= est.std_error
+
+    def no_nodes(*args):
+        raise AssertionError("a grid below MIN_GRID must be refused before quadrature runs")
+
+    monkeypatch.setattr(limits_module, "_quadrature_value", no_nodes)
+    for grid in (2, -5):
+        with pytest.raises(InvalidArgumentError, match="grid"):
+            limit_word_moment(AA, MatrixKind.T, "quadrature", grid=grid)
+
+
 def test_unknown_method_rejected():
     with pytest.raises(InvalidArgumentError):
         limit_word_moment(AA, MatrixKind.T, "midpoint")
     with pytest.raises(InvalidArgumentError):
         limit_moment(0, MatrixKind.T)
+
+
+@pytest.mark.parametrize("method, samples", [("midpoint", 1000), ("mc-ladder", 0)])
+def test_limit_moment_refuses_before_fan_out(monkeypatch, method, samples):
+    # both used to reach parallel_map with 3 tasks and 2 workers before raising
+    def no_fan_out(*args, **kwargs):
+        raise AssertionError("a bad request must be refused before any task is mapped")
+
+    monkeypatch.setattr(limits_module, "parallel_map", no_fan_out)
+    with pytest.raises(InvalidArgumentError):
+        limit_moment(2, MatrixKind.T, method, samples=samples, threads=2)
 
 
 def test_oracle_converges_to_limit():
