@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -26,7 +26,8 @@ from . import __version__
 from .errors import BalancedSpectraError, InvalidArgumentError, UsageError
 from .inputs import Distribution, derive_seed
 from .limits import (
-    COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, LIMIT_METHODS, MIN_GRID, compare_empirical_limit, limit_moment,
+    COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, LIMIT_METHODS, MIN_GRID, ComparisonRow, compare_empirical_limit,
+    limit_moment,
 )
 from .matgen import MatrixKind
 from .persist import atomic_write_text, write_csv, write_json
@@ -231,8 +232,6 @@ def _manifest(cfg, outputs: list[str], timings: dict, extra: dict | None = None)
 def cmd_simulate(cfg: Simulate) -> int:
     kind = MatrixKind.parse(cfg.kind)
     dist = Distribution.parse(cfg.dist)
-    if cfg.eps > 0.0 and not kind.balanced:
-        raise UsageError("--eps trims are defined for balanced kinds (bt, bh)")
     hist_range = _parse_range(cfg.hist_range)
     out = Path(cfg.out)
 
@@ -309,14 +308,7 @@ def cmd_moments(cfg: Moments) -> int:
     if cfg.out:
         out = Path(cfg.out)
         write_json(out / "moments.json", report.to_dict())
-        write_csv(
-            out / "moments.csv",
-            ["order", "empirical", "empirical_se", "limit", "limit_se", "tolerance", "passed"],
-            [
-                (r.order, r.empirical, r.empirical_se, r.limit, r.limit_se, r.tolerance, r.passed)
-                for r in report.rows
-            ],
-        )
+        write_csv(out / "moments.csv", [f.name for f in fields(ComparisonRow)], map(astuple, report.rows))
         write_json(out / "manifest.json", _manifest(cfg, ["moments.json", "moments.csv"], {"total": elapsed}))
     return 0
 

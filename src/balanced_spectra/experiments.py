@@ -7,18 +7,17 @@ import functools
 import numpy as np
 
 from .inputs import Distribution, derive_seed, generate_sequence
-from .matgen import MatrixKind, build_matrix, check_matrix_budget, needed_length, principal_submatrix
+from .matgen import MatrixKind, build_matrix, check_realization, needed_length, principal_submatrix
 from .parallel import parallel_map
-from .spectra import Spectrum, eigenvalues_symmetric, trace_power
+from .spectra import Spectrum, check_power_order, eigenvalues_symmetric, trace_power
 
 
 def realization_matrix(kind: MatrixKind, dist: Distribution, n: int, seed: int, eps: float = 0.0):
     """One seeded ensemble member, optionally eps-trimmed."""
     seq = generate_sequence(dist, needed_length(kind, n), seed)
     mat = build_matrix(kind, seq, n)
-    if eps > 0.0:
-        mat = principal_submatrix(mat, eps)
-    return mat
+    # any eps but 0 goes through the trim's check, so a bad one cannot pass untrimmed
+    return mat if eps == 0.0 else principal_submatrix(mat, eps)
 
 
 def _realization_spectrum(
@@ -41,7 +40,7 @@ def simulate_spectra(
     threads: int | None = None,
 ) -> list[Spectrum]:
     """Solve ``reps`` independent realizations; deterministic in ``master_seed``."""
-    check_matrix_budget(n)  # before any sequence is drawn or worker started
+    check_realization(kind, n, eps)  # before any sequence is drawn or worker started
     solve = functools.partial(_realization_spectrum, kind, dist, n, master_seed, eps)
     return parallel_map(solve, range(reps), workers=threads)
 
@@ -67,5 +66,7 @@ def trace_moment_samples(
 
     Computed by matrix powers, no eigensolve; used for variance-decay studies.
     """
+    check_realization(kind, n, eps)  # before any sequence is drawn or worker started
+    check_power_order(h)
     trace = functools.partial(_realization_trace, kind, dist, n, master_seed, eps, h)
     return np.array(parallel_map(trace, range(reps), workers=threads))

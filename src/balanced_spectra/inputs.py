@@ -94,13 +94,14 @@ def truncation_moments(dist: Distribution, t: float) -> tuple[float, float]:
     truncated second moment varies.  Raises ``DegenerateTruncationError``
     when the clipped variable is almost surely constant.
     """
-    if t <= 0.0:
-        raise InvalidArgumentError("truncation level t must be positive")
+    if not t > 0.0:  # NaN too
+        raise InvalidArgumentError(f"truncation level t must be positive, got {t}")
     if dist is Distribution.STANDARD_NORMAL:
-        # E[x^2 1(|x|<=t)] = erf(t/sqrt(2)) - t * sqrt(2/pi) * exp(-t^2/2)
-        var = math.erf(t / math.sqrt(2.0)) - t * math.sqrt(2.0 / math.pi) * math.exp(
-            -0.5 * t * t
-        )
+        # E[x^2 1(|x|<=t)] = erf(t/sqrt(2)) - t * sqrt(2/pi) * exp(-t^2/2); the
+        # second term is 0 at t = inf, where the product would read inf * 0 = NaN
+        var = math.erf(t / math.sqrt(2.0))
+        if t < math.inf:
+            var -= t * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * t * t)
     elif dist is Distribution.RADEMACHER:
         var = 1.0 if t >= 1.0 else 0.0
     elif dist is Distribution.BOUNDED_UNIFORM:

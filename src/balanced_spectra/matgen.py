@@ -123,9 +123,7 @@ def check_matrix_budget(n: int) -> None:
 
 def build_matrix(kind: MatrixKind, seq: InputSequence, n: int) -> PatternedMatrix:
     """Assemble one realization; symmetry is exact by construction."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    check_matrix_budget(n)
+    check_realization(kind, n)
     need = needed_length(kind, n)
     if seq.length < need:
         raise InvalidArgumentError(
@@ -172,12 +170,22 @@ def trimmed_interval(kind: MatrixKind, eps: float) -> tuple[float, float]:
     return eps / 2.0, 1.0 - eps / 2.0
 
 
-def submatrix_dimension(kind: MatrixKind, n: int, eps: float) -> int:
-    """Realized dimension of the epsilon-trimmed principal submatrix."""
+def check_realization(kind: MatrixKind, n: int, eps: float = 0.0) -> tuple[int, int]:
+    """Check a request for an n x n realization of ``kind`` trimmed by ``eps``,
+    before anything is drawn or allocated; return the kept 1-based window.
+
+    n >= 1 within ``MATRIX_BUDGET``; eps in [0, 1), above 0 only for the
+    balanced kinds, and leaving at least one index.
+    """
+    if n < 1:
+        raise InvalidArgumentError("n must be >= 1")
+    check_matrix_budget(n)
     lo, hi = submatrix_window(kind, n, eps)
-    if not kind.balanced:
-        raise InvalidArgumentError("submatrix trim is defined for BT and BH only")
-    return hi - lo + 1
+    if eps > 0.0 and not kind.balanced:
+        raise InvalidArgumentError("eps trims are defined for balanced kinds (bt, bh)")
+    if hi < lo:
+        raise InvalidArgumentError(f"trim eps={eps} leaves no rows at n={n}")
+    return lo, hi
 
 
 def principal_submatrix(mat: PatternedMatrix, eps: float) -> PatternedMatrix:
@@ -186,15 +194,11 @@ def principal_submatrix(mat: PatternedMatrix, eps: float) -> PatternedMatrix:
     Keeps the rows/columns of ``submatrix_window``.  ``parent_n`` is preserved
     so the entry scalings remain those of the parent matrix.
     """
-    m = submatrix_dimension(mat.kind, mat.n, eps)
-    if m < 1:
-        raise InvalidArgumentError(f"trim eps={eps} leaves no rows at n={mat.n}")
-    lo, hi = submatrix_window(mat.kind, mat.n, eps)
-    sub = mat.entries[lo - 1 : hi, lo - 1 : hi]
+    lo, hi = check_realization(mat.kind, mat.n, eps)
     return PatternedMatrix(
         kind=mat.kind,
-        n=m,
+        n=hi - lo + 1,
         parent_n=mat.parent_n,
-        entries=sub.copy(),
+        entries=mat.entries[lo - 1 : hi, lo - 1 : hi].copy(),
         source_seed=mat.source_seed,
     )

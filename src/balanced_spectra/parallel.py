@@ -1,8 +1,10 @@
 """Deterministic task fan-out.
 
 Results never depend on the worker count: every task derives its own seed
-from its index and the reduction happens in submission order.  If a process
-pool cannot be created (restricted sandboxes), the map silently runs serially.
+from its index and the reduction happens in submission order.  The process
+pool has two serial fallbacks, each of which re-runs every task in a serial
+loop: an ``OSError`` when the pool is created (a sandbox that refuses to
+fork), and ``BrokenProcessPool`` after a worker dies.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
 
     Callers pass a ``functools.partial`` of a module-level function that binds
     the shared native arguments (enums, words) and map it over plain indices,
-    so nothing is packed into tuples for the workers to unpack.  Falls back to
-    a serial loop when the sandbox refuses to fork; exceptions raised by ``fn``
-    itself always propagate.
+    so nothing is packed into tuples for the workers to unpack.  Re-runs every
+    task serially when creating the pool raises ``OSError`` or a dead worker
+    breaks it (``BrokenProcessPool``); exceptions raised by ``fn`` itself
+    always propagate.
     """
     items = list(items)
     count = resolve_workers(workers)

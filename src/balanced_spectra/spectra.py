@@ -7,7 +7,8 @@ order, with the linear and quadratic trace identities holding to roundoff
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class Spectrum:
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
 
+    def __reduce__(self):
+        # unpickle through __init__, so a spectrum from a worker is read-only too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
@@ -46,6 +51,8 @@ class EmpiricalDistribution:
         arr = np.sort(np.asarray(values, dtype=np.float64).ravel())
         if arr.size == 0:
             raise InvalidArgumentError("empirical distribution needs >= 1 point")
+        if not np.isfinite(arr).all():
+            raise InvalidArgumentError("empirical distribution points must be finite")
         return cls(points=arr)
 
     @classmethod
@@ -124,17 +131,21 @@ def eigenvalues_symmetric(mat, extra_source: dict | None = None) -> Spectrum:
     return Spectrum(eigenvalues=values, n=n, source=source)
 
 
+def check_power_order(h) -> None:
+    """Refuse a power order that is not an integer h >= 1."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 1:
+        raise InvalidArgumentError(f"power order must be an integer >= 1, got {h!r}")
+
+
 def moment(spectrum: Spectrum, h: int) -> float:
     """h-th moment of the ESD: mean of eigenvalue h-th powers."""
-    if h < 1:
-        raise InvalidArgumentError("moment order must be >= 1")
+    check_power_order(h)
     return float(np.mean(spectrum.eigenvalues ** h))
 
 
 def trace_power(mat, h: int) -> float:
     """Tr(M^h) by repeated multiplication; independent of any eigensolve."""
-    if h < 1:
-        raise InvalidArgumentError("power must be >= 1")
+    check_power_order(h)
     a = _entries_of(mat)
     return float(np.trace(np.linalg.matrix_power(a, h)))
 

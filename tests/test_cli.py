@@ -193,12 +193,16 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, co
     assert not out.exists()
 
 
-def test_simulate_rejects_trim_of_unbalanced(tmp_path):
+def test_simulate_rejects_trim_of_unbalanced(tmp_path, capsys):
+    # the library refuses the trim now, before any draw or worker
     code = run_cli(
         "simulate", "--kind", "t", "--n", "10", "--reps", "2", "--eps", "0.1",
-        "--out", str(tmp_path / "x"), "--threads", "1",
+        "--out", str(tmp_path / "x"), "--threads", "2",
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: eps trims are defined for balanced kinds (bt, bh)\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_words_json_matches_library(tmp_path, capsys):

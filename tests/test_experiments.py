@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import pickle
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from balanced_spectra.errors import InvalidArgumentError
+from balanced_spectra import experiments
+from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.experiments import simulate_spectra, trace_moment_samples
 from balanced_spectra.inputs import Distribution
 from balanced_spectra.matgen import MatrixKind
@@ -32,12 +34,43 @@ def test_simulate_spectra_pool_matches_serial():
     par = simulate_spectra(MatrixKind.BH, Distribution.RADEMACHER, 30, 4, 5, threads=2)
     for s1, s2 in zip(ser, par):
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+        # a spectrum unpickled from a worker is as read-only as a serial one
+        assert not s1.eigenvalues.flags.writeable and not s2.eigenvalues.flags.writeable
 
 
 def test_simulate_spectra_eps_trims():
     spectra = simulate_spectra(MatrixKind.BT, Distribution.STANDARD_NORMAL, 40, 2, 3, eps=0.1, threads=1)
     assert all(s.n == 36 for s in spectra)
     assert all(s.source["eps"] == 0.1 for s in spectra)
+
+
+BT, NORMAL = MatrixKind.BT, Distribution.STANDARD_NORMAL
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda: simulate_spectra(BT, NORMAL, 40, 2, 1, eps=-0.5, threads=2), InvalidArgumentError),
+        (lambda: simulate_spectra(BT, NORMAL, 40, 2, 1, eps=math.nan, threads=2), InvalidArgumentError),
+        (lambda: simulate_spectra(MatrixKind.T, NORMAL, 40, 2, 1, eps=0.1, threads=2), InvalidArgumentError),
+        (lambda: simulate_spectra(MatrixKind.BH, NORMAL, 2, 2, 1, eps=0.9999999999, threads=2), InvalidArgumentError),
+        (lambda: trace_moment_samples(BT, NORMAL, 40, 2, 1, 2, eps=-0.5, threads=2), InvalidArgumentError),
+        (lambda: trace_moment_samples(BT, NORMAL, 20_000, 2, 1, 2, threads=2), ResourceLimitError),
+        (lambda: trace_moment_samples(BT, NORMAL, 40, 2, 1, 2.5, threads=2), InvalidArgumentError),
+        (lambda: trace_moment_samples(BT, NORMAL, 40, 2, 1, 0, threads=2), InvalidArgumentError),
+    ],
+    ids=["eps-negative", "eps-nan", "eps-on-t", "eps-empty-window", "trace-eps-negative", "trace-over-budget",
+         "trace-power-2.5", "trace-power-0"],
+)
+def test_realization_request_refused_before_any_draw(monkeypatch, run, error):
+    # each used to reach the worker pool, or to return untrimmed spectra
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad realization request must be refused before any draw or worker")
+
+    monkeypatch.setattr(experiments, "parallel_map", no_work)
+    monkeypatch.setattr(experiments, "generate_sequence", no_work)
+    with pytest.raises(error):
+        run()
 
 
 def test_trace_moment_samples_shape_and_determinism():

@@ -99,8 +99,13 @@ def test_uniform_truncation_closed_form():
 
 def test_invalid_truncation_level():
     seq = generate_sequence(Distribution.STANDARD_NORMAL, 10, 1)
-    with pytest.raises(InvalidArgumentError):
-        truncate_standardize(seq, 0.0)
+    for t in (0.0, math.nan):  # NaN used to pass the t <= 0 check and give an all-NaN sequence
+        with pytest.raises(InvalidArgumentError):
+            truncate_standardize(seq, t)
+    # at t = inf nothing is clipped: every law keeps sd 1 (the normal's used to read inf * 0 = NaN)
+    for dist in Distribution:
+        assert truncation_moments(dist, math.inf) == (0.0, 1.0)
+    assert np.array_equal(truncate_standardize(seq, math.inf).values, seq.values)
 
 
 def test_values_are_read_only():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,9 +59,15 @@ def test_moment_matches_trace_power_oracle():
 
 
 def test_moment_rejects_bad_order():
-    spec = eigenvalues_symmetric(_bt(10, 1))
-    with pytest.raises(InvalidArgumentError):
-        moment(spec, 0)
+    mat = _bt(10, 1)
+    spec = eigenvalues_symmetric(mat)
+    # a fractional order used to give NaN with a RuntimeWarning, a float one numpy's TypeError
+    for h in (0, 2.5, 2.0, True):
+        with pytest.raises(InvalidArgumentError):
+            moment(spec, h)
+        with pytest.raises(InvalidArgumentError):
+            trace_power(mat, h)
+    assert moment(spec, np.int64(2)) == moment(spec, 2)
 
 
 def test_asymmetric_matrix_rejected():
@@ -69,6 +77,13 @@ def test_asymmetric_matrix_rejected():
 
 
 # --- Levy distance -------------------------------------------------------
+
+
+def test_empirical_distribution_rejects_non_finite_points():
+    # [nan] used to be accepted, and its Levy distance to [0.0] read 1.0
+    for bad in ([math.nan], [0.0, math.inf], [-math.inf]):
+        with pytest.raises(InvalidArgumentError):
+            EmpiricalDistribution.from_values(bad)
 
 
 def test_levy_identity():
