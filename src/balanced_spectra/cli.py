@@ -11,6 +11,7 @@ whose timing fields differ between otherwise identical runs).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BalancedSpectraError, InvalidArgumentError, UsageError
-from .inputs import Distribution, derive_seed
+from .inputs import Distribution
 from .limits import (
     COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, LIMIT_METHODS, MIN_GRID, ComparisonRow, compare_empirical_limit,
     limit_moment,
@@ -33,7 +34,7 @@ from .matgen import MatrixKind
 from .persist import atomic_write_text, write_csv, write_json
 from .render import histogram_svg
 from .experiments import simulate_spectra, realization_matrix
-from .spectra import DEFAULT_BINS, DEFAULT_RANGE, pooled_histogram
+from .spectra import DEFAULT_BINS, DEFAULT_RANGE, check_bins, pooled_histogram
 from .verify import run_suites
 from .words import enumerate_pair_matched_words, generating_vertices, is_symmetric, linear_forms
 
@@ -64,12 +65,23 @@ def _parse_range(text) -> tuple[float, float] | None:
     return lo, hi
 
 
+def _parse_out(text) -> None:
+    """Refuse an output directory that cannot be made: its nearest existing
+    ancestor must be a writable directory.  Nothing is created here."""
+    if not isinstance(text, str):
+        raise ValueError(f"must be a path, got {text!r}")
+    path = Path(text).absolute()
+    base = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise ValueError(f"{base} is not a writable directory")
+
+
 # One frozen dataclass per subcommand, named after it: each field is a key,
 # set by its flag or a --config file and recorded in the manifest.  Every
 # subcommand but verify can write result files.
 @dataclass(frozen=True)
 class _Written:
-    out: str | None = _key(None, "output directory (optional)")
+    out: str | None = _key(None, "output directory (optional)", parse=_parse_out)
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,7 @@ class _Sampled(_Written):
 @dataclass(frozen=True)
 class Simulate(_Sampled):
     """solve seeded realizations, emit spectra and histograms"""
-    out: str = _key(None, "output directory")
+    out: str = _key(None, "output directory", parse=_parse_out)
     n: int = _key(400, "matrix dimension", low=1)
     reps: int = _key(15, "number of realizations", low=1)
     dist: str = _key("normal", "input law: normal, rademacher, uniform", parse=Distribution.parse)
@@ -126,9 +138,6 @@ class Verify:
     suite: str = _key("all", "comma list of suites or 'all'")
 
 
-_SCHEMAS = {schema.__name__.lower(): schema for schema in (Simulate, Moments, Limit, Words, Verify)}
-
-
 def _keys(schema):
     """(field, flag, value type, None allowed) for each key of ``schema``."""
     hints = get_type_hints(schema)
@@ -145,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, schema in _SCHEMAS.items():
+    for command, (schema, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=schema.__doc__)
         for f, flag, value_type, optional in _keys(schema):
             # default None: a flag not given leaves the config value or the default
@@ -180,6 +189,7 @@ def _check(meta: dict, value_type: type, value) -> None:
 def resolve_config(args: argparse.Namespace):
     """The subcommand's config: each flag over the --config file over the default, checked."""
     command, path, file_cfg = args.command, args.config, {}
+    schema = _COMMANDS[command][0]
     if path:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -191,11 +201,11 @@ def resolve_config(args: argparse.Namespace):
         # a manifest's config block names its subcommand; replaying it elsewhere is an error
         if file_cfg.get("command", command) != command:
             raise UsageError(f"config {path} is for {file_cfg['command']!r}, not {command!r}")
-        unknown = set(file_cfg) - {f.name for f in fields(_SCHEMAS[command])} - {"command"}
+        unknown = set(file_cfg) - {f.name for f in fields(schema)} - {"command"}
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
     values = {}
-    for f, flag, value_type, optional in _keys(_SCHEMAS[command]):
+    for f, flag, value_type, optional in _keys(schema):
         if getattr(args, f.name) is not None:
             value, label = getattr(args, f.name), flag
         elif f.name in file_cfg:
@@ -208,86 +218,73 @@ def resolve_config(args: argparse.Namespace):
         except (TypeError, ValueError) as exc:
             raise UsageError(f"{label}: {exc}") from exc
         values[f.name] = value
-    return _SCHEMAS[command](**values)
+    return schema(**values)
 
 
-def _manifest(cfg, outputs: list[str], timings: dict, extra: dict | None = None) -> dict:
+def _write_out(cfg, files, timings: dict, **extra) -> list[str]:
+    """Write each result file ``(name, content)`` of ``files`` into ``cfg.out``, then
+    a ``manifest.json`` listing exactly those names, with the config, the stage
+    times ``timings`` plus this write's, and ``extra``; return the names.
+
+    A ``.csv`` content is ``(header, rows)``, a ``.json`` one a JSON value, any
+    other text.  ``files`` is read one file at a time, so a generator holds one
+    file's rows.  Without ``cfg.out`` nothing is written.
+    """
+    if cfg.out is None:
+        return []
+    out, names, t0 = Path(cfg.out), [], time.perf_counter()
+    for name, content in files:
+        if name.endswith(".csv"):
+            write_csv(out / name, *content)
+        elif name.endswith(".json"):
+            write_json(out / name, content)
+        else:
+            atomic_write_text(out / name, content)
+        names.append(name)
     config = {"command": type(cfg).__name__.lower(), **asdict(cfg)}
     del config["out"]
-    manifest = {
+    timings = {**timings, "write": time.perf_counter() - t0}
+    write_json(out / "manifest.json", {
         "config": config,
-        "outputs": sorted(outputs),
-        "versions": {
-            "balanced_spectra": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "outputs": sorted(names),
+        "versions": {"balanced_spectra": __version__, "python": sys.version.split()[0], "numpy": np.__version__},
         "wall_time_s": {k: round(v, 6) for k, v in timings.items()},
-    }
-    if extra:
-        manifest.update(extra)
-    return manifest
+        **extra,
+    })
+    return names
 
 
 def cmd_simulate(cfg: Simulate) -> int:
     kind = MatrixKind.parse(cfg.kind)
     dist = Distribution.parse(cfg.dist)
-    hist_range = _parse_range(cfg.hist_range)
-    out = Path(cfg.out)
+    check_bins(cfg.bins)  # before any draw, as simulate_spectra checks the realization
 
     t0 = time.perf_counter()
     spectra_list = simulate_spectra(kind, dist, cfg.n, cfg.reps, cfg.seed, eps=cfg.eps, threads=cfg.threads)
     t_solve = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    rows = []
-    for r, spec in enumerate(spectra_list):
-        for i, value in enumerate(spec.eigenvalues):
-            rows.append((r, i, float(value)))
-    write_csv(out / "eigenvalues.csv", ["realization", "index", "eigenvalue"], rows)
-
-    hist = pooled_histogram(spectra_list, bins=cfg.bins, hist_range=hist_range)
-    write_csv(
-        out / "histogram.csv",
-        ["bin_left", "bin_right", "density"],
-        [
-            (float(hist.edges[i]), float(hist.edges[i + 1]), float(hist.densities[i]))
-            for i in range(len(hist.densities))
-        ],
+    hist = pooled_histogram(spectra_list, bins=cfg.bins, hist_range=_parse_range(cfg.hist_range))
+    eigenvalues = ((r, i, v) for r, spec in enumerate(spectra_list) for i, v in enumerate(spec.eigenvalues.tolist()))
+    edges = hist.edges.tolist()
+    files = [
+        ("eigenvalues.csv", (["realization", "index", "eigenvalue"], eigenvalues)),
+        ("histogram.csv", (["bin_left", "bin_right", "density"], zip(edges, edges[1:], hist.densities.tolist()))),
+        ("histogram.svg", histogram_svg(hist, title=f"{kind.value.upper()} n={cfg.n} {dist.value} x{cfg.reps}")),
+    ]
+    # each dump rebuilds its realization from the seed its spectrum records
+    mats = (realization_matrix(kind, dist, cfg.n, spec.source["seed"], cfg.eps) for spec in spectra_list)
+    dumps = (
+        (f"matrix_{r:03d}.csv", (["i", "j", "value"], (
+            (i + 1, j + 1, v) for i, row in enumerate(mat.entries.tolist()) for j, v in enumerate(row))))
+        for r, mat in enumerate(mats if cfg.dump_matrices else [])
     )
-    title = f"{kind.value.upper()} n={cfg.n} {dist.value} x{cfg.reps}"
-    atomic_write_text(out / "histogram.svg", histogram_svg(hist, title=title))
-    outputs = ["eigenvalues.csv", "histogram.csv", "histogram.svg"]
-
-    if cfg.dump_matrices:
-        for r in range(cfg.reps):
-            mat = realization_matrix(kind, dist, cfg.n, derive_seed(cfg.seed, r), cfg.eps)
-            entry_rows = [
-                (i + 1, j + 1, float(mat.entries[i, j]))
-                for i in range(mat.n)
-                for j in range(mat.n)
-            ]
-            name = f"matrix_{r:03d}.csv"
-            write_csv(out / name, ["i", "j", "value"], entry_rows)
-            outputs.append(name)
-    t_write = time.perf_counter() - t0
-
-    manifest = _manifest(
-        cfg,
-        outputs,
-        {"solve": t_solve, "write": t_write},
-        {
-            "derived_seeds": [derive_seed(cfg.seed, r) for r in range(cfg.reps)],
-            "realized_dimension": spectra_list[0].n,
-            "histogram": {
-                "overflow": hist.overflow,
-                "total": hist.total,
-                "range": [float(hist.edges[0]), float(hist.edges[-1])],
-            },
-        },
+    names = _write_out(
+        cfg, itertools.chain(files, dumps), {"solve": t_solve},
+        derived_seeds=[spec.source["seed"] for spec in spectra_list],
+        realized_dimension=spectra_list[0].n,
+        histogram={"overflow": hist.overflow, "total": hist.total, "range": [edges[0], edges[-1]]},
     )
-    write_json(out / "manifest.json", manifest)
-    print(f"simulate: wrote {len(outputs)} result files to {out}")
+    print(f"simulate: wrote {len(names)} result files to {Path(cfg.out)}")
     return 0
 
 
@@ -305,11 +302,10 @@ def cmd_moments(cfg: Moments) -> int:
             f"{row.order:>5} {row.empirical:>14.6f} {row.empirical_se:>10.2e} "
             f"{row.limit:>14.6f} {row.limit_se:>10.2e} {str(row.passed):>5}"
         )
-    if cfg.out:
-        out = Path(cfg.out)
-        write_json(out / "moments.json", report.to_dict())
-        write_csv(out / "moments.csv", [f.name for f in fields(ComparisonRow)], map(astuple, report.rows))
-        write_json(out / "manifest.json", _manifest(cfg, ["moments.json", "moments.csv"], {"total": elapsed}))
+    _write_out(cfg, [
+        ("moments.json", report.to_dict()),
+        ("moments.csv", ([f.name for f in fields(ComparisonRow)], map(astuple, report.rows))),
+    ], {"total": elapsed})
     return 0
 
 
@@ -323,21 +319,13 @@ def cmd_limit(cfg: Limit) -> int:
     )
     elapsed = time.perf_counter() - t0
     payload = {
-        "kind": kind.link.value,
-        "k": cfg.k,
-        "order": 2 * cfg.k,
-        "method": estimate.method.value,
-        "value": estimate.value,
-        "std_error": estimate.std_error,
-        "per_word": estimate.params["per_word"],
+        "kind": kind.link.value, "k": cfg.k, "order": 2 * cfg.k, "method": estimate.method.value,
+        "value": estimate.value, "std_error": estimate.std_error, "per_word": estimate.params["per_word"],
     }
     if "ladder" in estimate.params:
         payload["ladder"] = estimate.params["ladder"]
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if cfg.out:
-        out = Path(cfg.out)
-        write_json(out / "limit.json", payload)
-        write_json(out / "manifest.json", _manifest(cfg, ["limit.json"], {"total": elapsed}))
+    _write_out(cfg, [("limit.json", payload)], {"total": elapsed})
     return 0
 
 
@@ -345,26 +333,14 @@ def cmd_words(cfg: Words) -> int:
     t0 = time.perf_counter()
     entries = []
     for word in enumerate_pair_matched_words(cfg.k):
-        forms_t, closure_t = linear_forms(word, MatrixKind.T)
-        forms_h, closure_h = linear_forms(word, MatrixKind.H)
-        entries.append(
-            {
-                "word": word.letters,
-                "symmetric": is_symmetric(word),
-                "S": list(generating_vertices(word)),
-                "forms": {
-                    "t": [list(f.coeffs) for f in forms_t],
-                    "h": [list(f.coeffs) for f in forms_h],
-                },
-                "closure": {"t": closure_t, "h": closure_h},
-            }
-        )
-    text = json.dumps(entries, indent=2, sort_keys=True)
-    print(text)
-    if cfg.out:
-        out = Path(cfg.out)
-        write_json(out / "words.json", entries)
-        write_json(out / "manifest.json", _manifest(cfg, ["words.json"], {"total": time.perf_counter() - t0}))
+        forms = {kind.value: linear_forms(word, kind) for kind in (MatrixKind.T, MatrixKind.H)}
+        entries.append({
+            "word": word.letters, "symmetric": is_symmetric(word), "S": list(generating_vertices(word)),
+            "forms": {link: [list(f.coeffs) for f in fs] for link, (fs, _) in forms.items()},
+            "closure": {link: closed for link, (_, closed) in forms.items()},
+        })
+    print(json.dumps(entries, indent=2, sort_keys=True))
+    _write_out(cfg, [("words.json", entries)], {"total": time.perf_counter() - t0})
     return 0
 
 
@@ -380,12 +356,13 @@ def cmd_verify(cfg: Verify) -> int:
     return 0 if failures == 0 else 1
 
 
+# each subcommand's schema, whose fields are its keys, and the function that runs it
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "moments": cmd_moments,
-    "limit": cmd_limit,
-    "words": cmd_words,
-    "verify": cmd_verify,
+    "simulate": (Simulate, cmd_simulate),
+    "moments": (Moments, cmd_moments),
+    "limit": (Limit, cmd_limit),
+    "words": (Words, cmd_words),
+    "verify": (Verify, cmd_verify),
 }
 
 
@@ -393,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            code = _COMMANDS[args.command](resolve_config(args))
+            code = _COMMANDS[args.command][1](resolve_config(args))
         except BalancedSpectraError as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2 if isinstance(exc, (UsageError, InvalidArgumentError)) else 1

@@ -110,8 +110,13 @@ def _occurrence_product(ctx: _WordContext, forms, x, occ) -> np.ndarray:
 
     ``forms[i]`` holds L_i and ``x[c]`` generating coordinate c at each row;
     ``occ`` is the occurrence rule, a limiting fraction or a count over n.
+    The factors are multiplied in place, left to right, so one is held at a time.
     """
-    return functools.reduce(np.multiply, [occ(forms[row], x[col]) for row, col in ctx.gen_pairs])
+    (row, col), *rest = ctx.gen_pairs
+    out = occ(forms[row], x[col])
+    for row, col in rest:
+        out *= occ(forms[row], x[col])
+    return out
 
 
 def _integrand_on(ctx: _WordContext, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -288,14 +293,15 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
     the highest log power j_max of the ladder's fit.
 
     Quadrature stops above ``QUADRATURE_MAX_K`` and when one node's slice of
-    the grid, (2 cells)^k rows of at most 4k + 7 float64 values (tracemalloc
-    peaks of 10.2, 13.1 and 17.1 per row at k = 1, 2, 3), would exceed
-    ``QUADRATURE_BUDGET``.  The default ladder has 4 rungs for k = 1 and 6 for
-    k >= 2, whose larger basis needs the extra dof.  A fit has j_max + 2
-    columns (3, 4, 5, 6 for the default at k = 1, 2, 3, >= 4; more for a
-    longer ladder at k >= 5), and a given ladder needs as many distinct
-    rungs: fewer would cap the basis and bias the value, and a repeated rung
-    only adds samples at its eps (the fit's normal matrix would be singular).
+    the grid, (2 cells)^k rows of at most 3k + 8 float64 values (tracemalloc
+    peaks per row at k = 1, 2, 3: 10.1, 13.1, 16.1 Hankel; 9.4, 12.1, 15.1
+    Toeplitz), would exceed ``QUADRATURE_BUDGET``.  The default ladder has 4
+    rungs for k = 1 and 6 for k >= 2, whose larger basis needs the extra dof.
+    A fit has j_max + 2 columns (3, 4, 5, 6 for the default at k = 1, 2, 3,
+    >= 4; more for a longer ladder at k >= 5), and a given ladder needs as
+    many distinct rungs: fewer would cap the basis and bias the value, and a
+    repeated rung only adds samples at its eps (the fit's normal matrix would
+    be singular).
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
@@ -316,7 +322,7 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
         if k > QUADRATURE_MAX_K:
             raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}, got k={k}")
         cells = grid + grid % 2  # as _graded_axis rounds it
-        need = 8 * (4 * k + 7) * (2 * cells) ** k
+        need = 8 * (3 * k + 8) * (2 * cells) ** k
         if need > QUADRATURE_BUDGET:
             raise ResourceLimitError(
                 f"quadrature at k={k}, grid={grid} needs about {need / 2**30:.3g} GiB per node, over the "

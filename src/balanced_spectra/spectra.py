@@ -13,11 +13,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .eigh import symmetric_eigenvalues
-from .errors import InvalidArgumentError, SolverFailureError
+from .errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from .matgen import PatternedMatrix
 
 DEFAULT_BINS = 61
 DEFAULT_RANGE = (-3.5, 3.5)
+MAX_BINS = 10**6  # np.histogram holds about 360 bytes per bin: 10^6 bins took 390 MB
 _LEVY_ITERATIONS = 40
 
 
@@ -137,6 +138,14 @@ def check_power_order(h) -> None:
         raise InvalidArgumentError(f"power order must be an integer >= 1, got {h!r}")
 
 
+def check_bins(bins: int) -> None:
+    """Refuse a histogram bin count below 1 or above ``MAX_BINS``."""
+    if bins < 1:
+        raise InvalidArgumentError("bins must be >= 1")
+    if bins > MAX_BINS:
+        raise ResourceLimitError(f"{bins} histogram bins exceed the cap of {MAX_BINS:.0e}")
+
+
 def moment(spectrum: Spectrum, h: int) -> float:
     """h-th moment of the ESD: mean of eigenvalue h-th powers."""
     check_power_order(h)
@@ -212,8 +221,7 @@ def pooled_histogram(
     """
     if not spectra:
         raise InvalidArgumentError("need at least one spectrum")
-    if bins < 1:
-        raise InvalidArgumentError("bins must be >= 1")
+    check_bins(bins)
     pooled = np.concatenate([s.eigenvalues for s in spectra])
     if hist_range is None:
         lo, hi = float(pooled.min()), float(pooled.max())

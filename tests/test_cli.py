@@ -7,6 +7,7 @@ import pytest
 
 from balanced_spectra import cli, limits
 from balanced_spectra.cli import main
+from balanced_spectra.inputs import derive_seed
 from balanced_spectra.matgen import MatrixKind
 from balanced_spectra.words import Word, linear_forms
 
@@ -72,6 +73,10 @@ def test_simulate_threads_do_not_change_results(tmp_path):
     assert run_cli(*base, "--threads", "1", "--out", str(out1)) == 0
     assert run_cli(*base, "--threads", "2", "--out", str(out2)) == 0
     assert (out1 / "eigenvalues.csv").read_bytes() == (out2 / "eigenvalues.csv").read_bytes()
+    # the manifest reads each seed off its spectrum, in realization order however the work ran
+    for out in (out1, out2):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived_seeds"] == [derive_seed(3, r) for r in range(4)]
 
 
 @pytest.mark.parametrize(
@@ -166,6 +171,10 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "distinct"),
         (["verify", "--config", "{cfg}"], {"out": "x"}, "unknown config keys"),
         (["limit", "--method", "quadrature", "--grid", "2"], None, "grid"),
+        # an output directory that could not be made is refused before any work
+        (["limit", "--k", "1", "--out", "{cfg}"], None, "--out"),
+        (["words", "--out", "{cfg}/x"], None, "--out"),
+        (["moments", "--config", "{cfg}"], {"out": __file__}, "--out (config key 'out')"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -175,6 +184,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "method-simpson", "config-method-simpson", "ladder-repeated", "config-ladder-repeated",
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
         "config-out-number", "ladder-short-for-k", "config-verify-out", "quadrature-grid-2",
+        "out-existing-file", "out-under-file", "config-out-file",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
@@ -237,12 +247,14 @@ def test_simulate_over_matrix_budget_exits_1_before_work(tmp_path, capsys):
         (["moments", "--k-max", "8"], "enumeration cap"),
         (["moments", "--method", "quadrature", "--k-max", "4"], "k <= 3"),
         (["limit", "--k", "2", "--method", "quadrature", "--grid", "10000000", "--threads", "1"], "GiB"),
+        (["simulate", "--n", "10", "--reps", "2", "--bins", "1000001", "--threads", "1"], "histogram bins"),
     ],
-    ids=["moments-words-cap", "moments-quadrature-cap", "limit-quadrature-budget"],
+    ids=["moments-words-cap", "moments-quadrature-cap", "limit-quadrature-budget", "simulate-bins-cap"],
 )
 def test_estimate_over_cap_exits_1_before_work(tmp_path, capsys, monkeypatch, args, message):
     # moments used to simulate and fit every lower order before refusing the
-    # top one, and the quadrature grid used to end in numpy's _ArrayMemoryError
+    # top one, and the quadrature grid and simulate's bins used to end in
+    # numpy's _ArrayMemoryError
     forbid_work(monkeypatch, "a capped request must be refused before any work")
     out = tmp_path / "out"
     assert run_cli(*args, "--out", str(out)) == 1

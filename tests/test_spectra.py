@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from balanced_spectra.errors import InvalidArgumentError
+from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.inputs import Distribution, derive_seed, generate_sequence
 from balanced_spectra.matgen import MatrixKind, build_matrix, needed_length, principal_submatrix
 from balanced_spectra.spectra import (
+    MAX_BINS,
     EmpiricalDistribution,
     eigenvalues_symmetric,
     hoffman_wielandt_gap,
@@ -256,6 +257,9 @@ def test_histogram_input_validation():
         pooled_histogram([spec], bins=0)
     with pytest.raises(InvalidArgumentError):
         pooled_histogram([spec], bins=5, hist_range=(1.0, -1.0))
+    # refused before np.histogram allocates its edges and counts
+    with pytest.raises(ResourceLimitError, match="bins"):
+        pooled_histogram([spec], bins=MAX_BINS + 1)
 
 
 def test_histogram_degenerate_support():
