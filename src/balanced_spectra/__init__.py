@@ -8,6 +8,7 @@ checks.
 """
 
 import os
+from types import ModuleType as _ModuleType
 
 # Idle OpenBLAS threads spin for about 2^28 cycles after each call; with solves
 # in two forked workers on two cores, one worker's spinning threads starve the
@@ -68,4 +69,7 @@ from .limits import (
 )
 from .experiments import simulate_spectra, trace_moment_samples
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without ``os`` and the submodules their imports bind
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

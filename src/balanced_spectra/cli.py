@@ -11,6 +11,7 @@ whose timing fields differ between otherwise identical runs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -65,9 +66,17 @@ def _parse_range(text) -> tuple[float, float] | None:
     return lo, hi
 
 
+def _parse_balanced(text) -> None:
+    """Refuse t and h: the word integrals give the limiting moments of the
+    balanced kinds only (second moment 2, where t and h have 1)."""
+    if not MatrixKind.parse(text).balanced:
+        raise ValueError(f"must be bt or bh, got {text!r}")
+
+
 def _parse_out(text) -> None:
     """Refuse an output directory that cannot be made: its nearest existing
-    ancestor must be a writable directory.  Nothing is created here."""
+    ancestor must be a writable directory.  Nothing is created here; ``main``
+    makes the directory once the whole config is checked."""
     if not isinstance(text, str):
         raise ValueError(f"must be a path, got {text!r}")
     path = Path(text).absolute()
@@ -105,7 +114,12 @@ class Simulate(_Sampled):
 
 
 @dataclass(frozen=True)
-class Moments(_Sampled):
+class _Balanced(_Sampled):
+    kind: str = _key("bt", "ensemble: bt or bh", parse=_parse_balanced)
+
+
+@dataclass(frozen=True)
+class Moments(_Balanced):
     """empirical averaged moments vs limiting moments"""
     n: int = _key(200, "matrix dimension", low=1)
     reps: int = _key(15, "number of realizations", low=1)
@@ -116,7 +130,7 @@ class Moments(_Sampled):
 
 
 @dataclass(frozen=True)
-class Limit(_Sampled):
+class Limit(_Balanced):
     """limiting moment of order 2k with per-word breakdown"""
     seed: int = _key(7, "master seed (64-bit)")
     k: int = _key(1, "half-order: computes the order-2k moment", low=1)
@@ -366,12 +380,31 @@ _COMMANDS = {
 }
 
 
+def _missing_dirs(cfg) -> list[Path]:
+    """The directories that making ``cfg.out`` creates, deepest first."""
+    if getattr(cfg, "out", None) is None:
+        return []
+    path = Path(cfg.out).absolute()
+    return [p for p in (path, *path.parents) if not os.path.exists(p)]
+
+
 def main(argv: list[str] | None = None) -> int:
+    made = []
     try:
         args = build_parser().parse_args(argv)
         try:
-            code = _COMMANDS[args.command][1](resolve_config(args))
+            cfg = resolve_config(args)
+            made = _missing_dirs(cfg)
+            try:  # before any work, so an --out that cannot be made costs none
+                for path in reversed(made):
+                    path.mkdir()
+            except OSError as exc:
+                raise UsageError(f"--out: {exc}") from exc
+            code = _COMMANDS[args.command][1](cfg)
         except BalancedSpectraError as exc:
+            for path in made:  # a refused run leaves none of the directories it made
+                with contextlib.suppress(OSError):
+                    path.rmdir()
             print(f"error: {exc}", file=sys.stderr)
             code = 2 if isinstance(exc, (UsageError, InvalidArgumentError)) else 1
         sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit

@@ -57,6 +57,7 @@ LIMIT_METHODS = ("mc-ladder", "quadrature")
 QUADRATURE_MAX_K = 3
 MIN_GRID = 4  # the error bar's coarse mesh, grid // 2 cells, needs at least 2
 QUADRATURE_BUDGET = 2**30  # bytes: the working set of one node's slice of the quadrature grid
+QUADRATURE_ROW_FLOATS = 8  # float64 values per row of that slice, an upper bound on its peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
 
@@ -105,26 +106,25 @@ def _window_mask(ctx: _WordContext, forms, lo, hi, mask: np.ndarray) -> np.ndarr
     return mask
 
 
-def _occurrence_product(ctx: _WordContext, forms, x, occ) -> np.ndarray:
-    """Product over the generating positions i > 0 of ``occ(forms[i-1], x[i])``.
+def _occurrence_product(ctx: _WordContext, forms, x, occ, out: np.ndarray) -> np.ndarray:
+    """Multiply ``out``, a buffer of ones, in place by ``occ(forms[i-1], x[i])``
+    over the generating positions i > 0, left to right, and return it.
 
-    ``forms[i]`` holds L_i and ``x[c]`` generating coordinate c at each row;
-    ``occ`` is the occurrence rule, a limiting fraction or a count over n.
-    The factors are multiplied in place, left to right, so one is held at a time.
+    ``forms[i]`` holds L_i and ``x[c]`` generating coordinate c, broadcasting
+    to ``out``; ``occ`` is the occurrence rule, a limiting fraction or a count over n.
     """
-    (row, col), *rest = ctx.gen_pairs
-    out = occ(forms[row], x[col])
-    for row, col in rest:
+    for row, col in ctx.gen_pairs:
         out *= occ(forms[row], x[col])
     return out
 
 
-def _integrand_on(ctx: _WordContext, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Indicator-masked integrand values at sample rows ``x`` (shape (N, k+1))."""
-    lvals = (x @ ctx.coeffs.T).T
-    mask = _window_mask(ctx, lvals, lo, hi, np.ones(x.shape[0], dtype=bool))
-    denom = _occurrence_product(ctx, lvals, x.T, functools.partial(occurrence_fraction, ctx.link))
-    out = np.zeros(x.shape[0])
+def _integrand_on(ctx: _WordContext, forms, x, lo: float, hi: float) -> np.ndarray:
+    """Indicator-masked integrand on one block: ``forms[i]`` holds L_i and
+    ``x[c]`` coordinate c, all broadcasting to the block's shape."""
+    shape = np.broadcast_shapes(*map(np.shape, x))
+    mask = _window_mask(ctx, forms, lo, hi, np.ones(shape, dtype=bool))
+    denom = _occurrence_product(ctx, forms, x, functools.partial(occurrence_fraction, ctx.link), np.ones(shape))
+    out = np.zeros(shape)
     np.divide(1.0, denom, out=out, where=mask & (denom > 0.0))
     return out
 
@@ -205,7 +205,7 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
                 kept.insert(p, 0)
                 kept[p] = -_form(closure, kept) // c_p
             forms = {row: _form(ctx.coeffs[row], kept) for row, _ in ctx.gen_pairs}
-            block_sums.append(float(np.sum(1.0 / _occurrence_product(ctx, forms, kept, occ))))
+            block_sums.append(float(np.sum(1.0 / _occurrence_product(ctx, forms, kept, occ, np.ones(rows[0].size)))))
     value = math.fsum(block_sums) / float(n) ** (ctx.k + 1)
     return MomentEstimate(
         value=value,
@@ -232,7 +232,7 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     means = np.empty(batches)
     for b in range(batches):
         x = rng.uniform(lo, hi, size=(per_batch, ctx.k + 1))
-        means[b] = _integrand_on(ctx, x, lo, hi).mean()
+        means[b] = _integrand_on(ctx, (x @ ctx.coeffs.T).T, x.T, lo, hi).mean()
     value = float(np.median(means)) * vol
     se = float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
     return value, se
@@ -262,18 +262,16 @@ def _graded_axis(cells: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarr
 def _quadrature_value(ctx: _WordContext, eps: float, grid: int) -> float:
     lo, hi = trimmed_interval(ctx.link, eps)
     nodes, weights = _graded_axis(grid, lo, hi)
-    m, dim = nodes.size, ctx.k + 1
-    # one slab, filled in place: the cartesian product of the last dim-1 axes
-    # in C order, its first column reset to each first-axis node in turn
-    x = np.empty((m,) * (dim - 1) + (dim,))
-    for a in range(1, dim):
-        x[..., a] = nodes.reshape((m,) + (1,) * (dim - 1 - a))
-    x = x.reshape(-1, dim)
-    rest_w = functools.reduce(np.multiply.outer, [weights] * (dim - 1)).ravel()
+    # each first-axis node meets an open mesh of the other k axes, on which the
+    # forms are summed by broadcasting, as the oracle sums its index axes
+    rest = np.ix_(*[nodes] * ctx.k)
+    rest_w = functools.reduce(np.multiply.outer, [weights] * ctx.k).ravel()
+    needed = {*ctx.dependent, *(row for row, _ in ctx.gen_pairs)}
     total = 0.0
     for x0, w0 in zip(nodes, weights):
-        x[:, 0] = x0
-        total += w0 * float(np.dot(rest_w, _integrand_on(ctx, x, lo, hi)))
+        x = [x0, *rest]
+        forms = {i: _form(ctx.coeffs[i], x) for i in needed}
+        total += w0 * float(np.dot(rest_w, _integrand_on(ctx, forms, x, lo, hi).ravel()))
     return total
 
 
@@ -293,9 +291,10 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
     the highest log power j_max of the ladder's fit.
 
     Quadrature stops above ``QUADRATURE_MAX_K`` and when one node's slice of
-    the grid, (2 cells)^k rows of at most 3k + 8 float64 values (tracemalloc
-    peaks per row at k = 1, 2, 3: 10.1, 13.1, 16.1 Hankel; 9.4, 12.1, 15.1
-    Toeplitz), would exceed ``QUADRATURE_BUDGET``.  The default ladder has 4
+    the grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64
+    values (worst tracemalloc peaks per row over the words at k = 1, 2, 3,
+    with 10^4 rows or more per slice: 6.8, 5.9, 5.4 Toeplitz; 6.8, 6.9, 6.5
+    Hankel), would exceed ``QUADRATURE_BUDGET``.  The default ladder has 4
     rungs for k = 1 and 6 for k >= 2, whose larger basis needs the extra dof.
     A fit has j_max + 2 columns (3, 4, 5, 6 for the default at k = 1, 2, 3,
     >= 4; more for a longer ladder at k >= 5), and a given ladder needs as
@@ -322,7 +321,7 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
         if k > QUADRATURE_MAX_K:
             raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}, got k={k}")
         cells = grid + grid % 2  # as _graded_axis rounds it
-        need = 8 * (3 * k + 8) * (2 * cells) ** k
+        need = 8 * QUADRATURE_ROW_FLOATS * (2 * cells) ** k
         if need > QUADRATURE_BUDGET:
             raise ResourceLimitError(
                 f"quadrature at k={k}, grid={grid} needs about {need / 2**30:.3g} GiB per node, over the "

@@ -175,6 +175,9 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["limit", "--k", "1", "--out", "{cfg}"], None, "--out"),
         (["words", "--out", "{cfg}/x"], None, "--out"),
         (["moments", "--config", "{cfg}"], {"out": __file__}, "--out (config key 'out')"),
+        # the word integrals give the balanced limits only: limit used to print them under t and h
+        (["limit", "--kind", "t", "--k", "1", "--method", "quadrature"], None, "--kind"),
+        (["limit", "--config", "{cfg}"], {"kind": "h"}, "'kind'"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -184,7 +187,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "method-simpson", "config-method-simpson", "ladder-repeated", "config-ladder-repeated",
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
         "config-out-number", "ladder-short-for-k", "config-verify-out", "quadrature-grid-2",
-        "out-existing-file", "out-under-file", "config-out-file",
+        "out-existing-file", "out-under-file", "config-out-file", "limit-kind-t", "config-limit-kind-h",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
@@ -201,6 +204,21 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, co
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert not out.exists()
+
+
+def test_out_is_made_before_any_work(tmp_path, capsys, monkeypatch):
+    # a name too long to create passes the config check, and used to end in an
+    # OSError traceback from the writer after the whole ladder had run
+    def no_work(cfg):
+        raise AssertionError("an --out that cannot be made must be refused before the command runs")
+
+    monkeypatch.setitem(cli._COMMANDS, "limit", (cli.Limit, no_work))
+    out = tmp_path / "made" / ("a" * 300)
+    assert run_cli("limit", "--k", "1", "--samples", "1000", "--threads", "1", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # nor is its parent, made on the way, left behind
 
 
 def test_simulate_rejects_trim_of_unbalanced(tmp_path, capsys):
@@ -354,6 +372,16 @@ def test_verify_has_no_out_flag(tmp_path, capsys):
     assert info.value.code == 2
     assert "--out" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_public_api_lists_no_module():
+    import types
+
+    import balanced_spectra
+
+    assert balanced_spectra.__all__
+    for name in balanced_spectra.__all__:
+        assert not isinstance(getattr(balanced_spectra, name), types.ModuleType), name
 
 
 def test_module_entry_point(tmp_path):

@@ -1,15 +1,20 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
-from balanced_spectra.matgen import MatrixKind, submatrix_window
+from balanced_spectra.matgen import MatrixKind, occurrence_fraction, submatrix_window, trimmed_interval
 from balanced_spectra.limits import (
     Method,
     _WordContext,
+    _graded_axis,
     _mc_truncated,
+    _quadrature_value,
     compare_empirical_limit,
     finite_n_word_moment,
     limit_moment,
@@ -138,6 +143,53 @@ def test_quadrature_budget_guard(monkeypatch):
     monkeypatch.setattr(limits_module, "_quadrature_value", lambda ctx, eps, grid: 0.0)
     for letters in ("aa", "aabb", "aabbcc"):
         assert limit_word_moment(Word(letters), MatrixKind.T, "quadrature").value == 0.0
+
+
+def node_row_quadrature(word, kind, eps, grid):
+    """The graded-mesh quadrature with every node as an explicit row: forms
+    by ``X @ coeffs.T`` and weights by the outer product of the axis weights."""
+    ctx = _WordContext(word, kind)
+    lo, hi = trimmed_interval(kind, eps)
+    nodes, weights = _graded_axis(grid, lo, hi)
+    dim = word.k + 1
+    x = np.array(list(itertools.product(nodes, repeat=dim)))
+    forms = (x @ ctx.coeffs.T).T
+    keep = np.ones(len(x), dtype=bool)
+    for i in ctx.dependent:
+        keep &= (forms[i] >= lo) & (forms[i] <= hi)
+    denom = np.prod([occurrence_fraction(kind, forms[row], x[:, col]) for row, col in ctx.gen_pairs], axis=0)
+    keep &= denom > 0.0
+    w = functools.reduce(np.multiply.outer, [weights] * dim).ravel()
+    return float(np.sum(w[keep] / denom[keep]))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_open_mesh_matches_node_rows(kind, eps):
+    for k in (1, 2, 3):
+        for word in enumerate_pair_matched_words(k):
+            value = _quadrature_value(_WordContext(word, kind), eps, 6)
+            assert value == pytest.approx(node_row_quadrature(word, kind, eps, 6), rel=1e-15, abs=0.0), word
+
+
+def test_quadrature_guard_bounds_the_peak():
+    # one call's tracemalloc peak per row of a node's slice, at 10^4 rows or
+    # more per slice; the trim changes no array's size, and at grid 5000 the
+    # outermost cells are so thin that the untrimmed Hankel integrand overflows
+    _quadrature_value(_WordContext(Word("abab"), MatrixKind.H), 0.2, 4)  # numpy's one-time allocations
+    for kind in (MatrixKind.T, MatrixKind.H):
+        for k, grid in ((1, 5000), (2, 50), (3, 12)):
+            rows = (2 * grid) ** k
+            assert rows >= 10_000
+            for word in enumerate_pair_matched_words(k):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    _quadrature_value(_WordContext(word, kind), 0.2, grid)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert peak / (8 * rows) <= limits_module.QUADRATURE_ROW_FLOATS, (kind, word, peak / (8 * rows))
 
 
 def test_finite_n_trimmed_window_matches_truncated_integral():
