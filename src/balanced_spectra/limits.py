@@ -15,8 +15,8 @@ Three evaluation routes are provided and cross-checked against each other:
 
 * ``finite_n_word_moment`` -- exact discrete expectation at resolution n
   (exhaustive enumeration of generating assignments, with circuit closure
-  solved for one coordinate where it does not hold identically), the
-  finite-size oracle.
+  solved for one coordinate where it does not hold identically, once per
+  rotation/reflection class of words), the finite-size oracle.
 * ``truncated_word_moment`` -- the integral restricted to an eps-trimmed box
   where the integrand is bounded by eps^-k, via plain Monte Carlo
   (median-of-means) or graded-mesh quadrature.
@@ -42,7 +42,10 @@ from .inputs import Distribution, derive_seed
 from .matgen import MatrixKind, occurrence_counts, occurrence_fraction, submatrix_window, trimmed_interval
 from .parallel import parallel_map
 from .spectra import moment
-from .words import MAX_K, Word, enumerate_pair_matched_words, form_matrix, generating_vertices, is_symmetric, linear_forms
+from .words import (
+    MAX_K, Word, dihedral_representative, enumerate_pair_matched_words, form_matrix, generating_vertices, is_symmetric,
+    linear_forms,
+)
 
 EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 EPS_LADDER_DEEP = (0.3, 0.2, 0.15, 0.1, 0.05, 0.025)
@@ -147,6 +150,42 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
     zero-error finite-size reference the continuum estimates are validated
     against.
 
+    The sum is constant on the word's rotation/reflection class
+    (``words.dihedral_representative``), so it is enumerated once per class,
+    kind, n and eps, and remembered.  The request is checked on every call.
+    ``params`` records the enumerated ``rows``, the ``kept`` rows that passed
+    the window and closure masks, and the representative's letters (``class``).
+    """
+    if n < 1:
+        raise InvalidArgumentError("n must be >= 1")
+    lo, hi = submatrix_window(kind, n, eps)
+    win = hi - lo + 1
+    if win < 1:
+        raise InvalidArgumentError(f"eps={eps} leaves no indices at n={n}")
+    free = word.k + linear_forms(word, kind)[1]  # a non-closing word solves one coordinate
+    if win**free > ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"finite-n enumeration of {win}^{free} = {win**free:.3g} assignments exceeds {ENUMERATION_BUDGET:.0e}"
+        )
+    rep = dihedral_representative(word).letters
+    value, kept = _finite_n_sum(rep, kind, n, eps)
+    return MomentEstimate(
+        value=value,
+        std_error=0.0,
+        method=Method.FINITE_N,
+        params={
+            "kind": kind.link.value, "n": n, "eps": eps, "window": [lo, hi],
+            "rows": win**free, "kept": kept, "class": rep,
+        },
+        word=word,
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[float, int]:
+    """The word sum of ``finite_n_word_moment`` and its count of kept rows, for
+    a request that function has checked.
+
     Closure reads c.x = 0 with c = L_{2k} - e_0.  When c vanishes (every
     Toeplitz word and every symmetric Hankel word) all k+1 coordinates are
     enumerated; otherwise the coordinate p with the smallest nonzero |c_p| is
@@ -155,22 +194,14 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
     built in blocks of about ``_BLOCK`` rows as sums of broadcast index axes,
     and the occurrence product is evaluated on the kept rows only.
     """
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    ctx = _WordContext(word, kind)
+    ctx = _WordContext(Word(letters), kind)
     lo, hi = submatrix_window(kind, n, eps)
     win = hi - lo + 1
-    if win < 1:
-        raise InvalidArgumentError(f"eps={eps} leaves no indices at n={n}")
     closure = ctx.coeffs[-1].copy()
     closure[0] -= 1
     solvable = np.flatnonzero(closure)
     p = int(solvable[np.argmin(np.abs(closure[solvable]))]) if solvable.size else None
     free = ctx.k + 1 - (p is not None)
-    if win**free > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"finite-n enumeration of {win}^{free} = {win**free:.3g} assignments exceeds {ENUMERATION_BUDGET:.0e}"
-        )
     if p is not None:
         c_p = closure[p]
         closure[p] = 0
@@ -188,7 +219,7 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
     def occ(a, b):
         return occurrence_counts(kind, n, a, b) / n
 
-    block_sums = []
+    block_sums, kept_rows = [], 0
     for head in itertools.product(axis.tolist(), repeat=free - 1 - tail):
         for start in range(0, win, step):
             cut = axis[start : start + step]
@@ -200,20 +231,14 @@ def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0)
                 mask &= (rem == 0) & (x[p] >= lo) & (x[p] <= hi)
             forms = {i: _form(ctx.coeffs[i], x) for i in ctx.dependent}
             rows = np.nonzero(_window_mask(ctx, forms, lo, hi, mask))
+            kept_rows += rows[0].size
             kept = [*head, cut[rows[0]], *(axis[r] for r in rows[1:])]
             if p is not None:
                 kept.insert(p, 0)
                 kept[p] = -_form(closure, kept) // c_p
             forms = {row: _form(ctx.coeffs[row], kept) for row, _ in ctx.gen_pairs}
             block_sums.append(float(np.sum(1.0 / _occurrence_product(ctx, forms, kept, occ, np.ones(rows[0].size)))))
-    value = math.fsum(block_sums) / float(n) ** (ctx.k + 1)
-    return MomentEstimate(
-        value=value,
-        std_error=0.0,
-        method=Method.FINITE_N,
-        params={"kind": kind.link.value, "n": n, "eps": eps, "window": [lo, hi]},
-        word=word,
-    )
+    return math.fsum(block_sums) / float(n) ** (ctx.k + 1), kept_rows
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +284,16 @@ def _graded_axis(cells: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarr
     return lo + span * nodes, span * np.repeat(0.5 * h, 2)
 
 
+def _mesh_is_normal(grid: int, k: int) -> bool:
+    """Whether a product of k occurrence fractions on the unit mesh of ``grid``
+    cells stays a normal float64, so that its reciprocal, the integrand, is
+    finite.  The smallest fraction is x + y at the two lowest nodes, the
+    Gauss points of the outermost cell as ``_graded_axis`` places them."""
+    half = (grid + 1) // 2
+    cell = GRADING ** (half - 1) * (1.0 - GRADING) / (2.0 * (1.0 - GRADING**half))
+    return (cell * (1.0 - 1.0 / math.sqrt(3.0))) ** k >= np.finfo(np.float64).tiny
+
+
 def _quadrature_value(ctx: _WordContext, eps: float, grid: int) -> float:
     lo, hi = trimmed_interval(ctx.link, eps)
     nodes, weights = _graded_axis(grid, lo, hi)
@@ -290,17 +325,19 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
     """Check an order-2k request before any work; return its eps-ladder and
     the highest log power j_max of the ladder's fit.
 
-    Quadrature stops above ``QUADRATURE_MAX_K`` and when one node's slice of
-    the grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64
-    values (worst tracemalloc peaks per row over the words at k = 1, 2, 3,
-    with 10^4 rows or more per slice: 6.8, 5.9, 5.4 Toeplitz; 6.8, 6.9, 6.5
-    Hankel), would exceed ``QUADRATURE_BUDGET``.  The default ladder has 4
-    rungs for k = 1 and 6 for k >= 2, whose larger basis needs the extra dof.
-    A fit has j_max + 2 columns (3, 4, 5, 6 for the default at k = 1, 2, 3,
-    >= 4; more for a longer ladder at k >= 5), and a given ladder needs as
-    many distinct rungs: fewer would cap the basis and bias the value, and a
-    repeated rung only adds samples at its eps (the fit's normal matrix would
-    be singular).
+    Quadrature stops above ``QUADRATURE_MAX_K``, when one node's slice of the
+    grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64 values
+    (worst tracemalloc peaks per row over the words at k = 1, 2, 3, with 10^4
+    rows or more per slice: 6.8, 5.9, 5.4 Toeplitz; 6.8, 6.9, 6.5 Hankel),
+    would exceed ``QUADRATURE_BUDGET``, and at a grid so fine that the mesh's
+    outermost cells leave the normal float64 range (above 3958 at k = 1 and
+    1972 at k = 2), where the Hankel integrand overflows and the value reads
+    NaN.  The default ladder has 4 rungs for k = 1 and 6 for k >= 2, whose
+    larger basis needs the extra dof.  A fit has j_max + 2 columns (3, 4, 5, 6
+    for the default at k = 1, 2, 3, >= 4; more for a longer ladder at
+    k >= 5), and a given ladder needs as many distinct rungs: fewer would cap
+    the basis and bias the value, and a repeated rung only adds samples at
+    its eps (the fit's normal matrix would be singular).
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
@@ -326,6 +363,15 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
             raise ResourceLimitError(
                 f"quadrature at k={k}, grid={grid} needs about {need / 2**30:.3g} GiB per node, over the "
                 f"{QUADRATURE_BUDGET / 2**30:g} GiB budget"
+            )
+        if not _mesh_is_normal(grid, k):
+            finest, refused = MIN_GRID, grid  # bisect for the finest admitted grid
+            while refused - finest > 1:
+                mid = (finest + refused) // 2
+                finest, refused = (mid, refused) if _mesh_is_normal(mid, k) else (finest, mid)
+            raise InvalidArgumentError(
+                f"grid must be <= {finest} for quadrature at k={k}, where the graded mesh's outermost cells "
+                f"stay normal float64 numbers, got {grid}"
             )
     return ladder, j_max
 

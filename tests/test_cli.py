@@ -178,6 +178,8 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         # the word integrals give the balanced limits only: limit used to print them under t and h
         (["limit", "--kind", "t", "--k", "1", "--method", "quadrature"], None, "--kind"),
         (["limit", "--config", "{cfg}"], {"kind": "h"}, "'kind'"),
+        # the graded mesh's outermost cells go subnormal; this grid used to print "value": NaN with exit 0
+        (["limit", "--kind", "bh", "--k", "1", "--method", "quadrature", "--grid", "5000"], None, "grid must be <= 3958"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -188,6 +190,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
         "config-out-number", "ladder-short-for-k", "config-verify-out", "quadrature-grid-2",
         "out-existing-file", "out-under-file", "config-out-file", "limit-kind-t", "config-limit-kind-h",
+        "quadrature-grid-subnormal",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):

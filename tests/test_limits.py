@@ -12,6 +12,7 @@ from balanced_spectra.matgen import MatrixKind, occurrence_fraction, submatrix_w
 from balanced_spectra.limits import (
     Method,
     _WordContext,
+    _finite_n_sum,
     _graded_axis,
     _mc_truncated,
     _quadrature_value,
@@ -23,7 +24,7 @@ from balanced_spectra.limits import (
     truncated_moment_bound,
     truncated_word_moment,
 )
-from balanced_spectra.words import Word, enumerate_pair_matched_words, is_symmetric
+from balanced_spectra.words import Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
 
 AA = Word("aa")
 
@@ -101,6 +102,61 @@ def test_finite_n_matches_brute_force_circuits(letters, kind):
             assert est.value == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H, MatrixKind.BT, MatrixKind.BH])
+def test_uncached_oracle_is_constant_on_dihedral_classes(kind, eps):
+    # a circuit read from another start or backwards is a circuit of the rotated
+    # or reversed word, so each member's own enumeration (the private function
+    # itself, not its cache) matches its class representative's; at n = 8 eps
+    # 0.25 trims the window under both patterns
+    enumerate_sum = _finite_n_sum.__wrapped__
+    n = 8
+    assert submatrix_window(kind, n, eps) != (1, n) or eps == 0.0
+    for k in (1, 2, 3, 4):
+        reps = {}
+        for word in enumerate_pair_matched_words(k):
+            rep = dihedral_representative(word).letters
+            if rep not in reps:
+                reps[rep] = enumerate_sum(rep, kind, n, eps)
+            value, kept = enumerate_sum(word.letters, kind, n, eps)
+            assert value == pytest.approx(reps[rep][0], rel=1e-13, abs=0.0), (word, rep)
+            assert kept == reps[rep][1], (word, rep)
+
+
+def test_oracle_class_members_get_their_own_estimates():
+    a = finite_n_word_moment(Word("aabcbc"), MatrixKind.BT, 9, 0.25)
+    b = finite_n_word_moment(Word("abcbca"), MatrixKind.BT, 9, 0.25)  # rotated by one: a cache hit
+    assert (a.word, b.word) == (Word("aabcbc"), Word("abcbca"))
+    assert a.value == b.value
+    assert a.params == b.params and a.params is not b.params
+    lo, hi = a.params["window"]
+    assert (lo, hi) == (1, 7)
+    assert a.params["rows"] == (hi - lo + 1) ** 4 and 0 < a.params["kept"] < a.params["rows"]
+    assert a.params["class"] == "aabcbc"
+    a.params["kept"] = -1
+    again = finite_n_word_moment(Word("abcbca"), MatrixKind.BT, 9, 0.25)
+    assert b.params["kept"] == again.params["kept"] > 0
+    # a non-closing Hankel word enumerates win^k rows, with its closure solved for one coordinate
+    abacbc = finite_n_word_moment(Word("abacbc"), MatrixKind.H, 9)
+    assert abacbc.params["rows"] == 9**3 and 0 < abacbc.params["kept"] < abacbc.params["rows"]
+    assert abacbc.params["class"] == "abacbc"
+
+
+def test_oracle_refusals_hold_after_the_class_is_cached(monkeypatch):
+    cached = finite_n_word_moment(Word("aabb"), MatrixKind.T, 10)
+    with pytest.raises(ResourceLimitError, match=r"2000\^3"):
+        finite_n_word_moment(Word("abba"), MatrixKind.T, 2000)
+    with pytest.raises(InvalidArgumentError):
+        finite_n_word_moment(Word("abba"), MatrixKind.T, 0)
+    with pytest.raises(InvalidArgumentError):
+        finite_n_word_moment(Word("abba"), MatrixKind.T, 10, eps=-0.5)
+    # the very request whose sum is cached is refused once the budget falls below it
+    monkeypatch.setattr(limits_module, "ENUMERATION_BUDGET", cached.params["rows"] - 1)
+    for letters in ("aabb", "abba"):
+        with pytest.raises(ResourceLimitError, match=r"10\^3"):
+            finite_n_word_moment(Word(letters), MatrixKind.T, 10)
+
+
 def test_finite_n_nonsymmetric_hankel_decays():
     values = [finite_n_word_moment(Word("abab"), MatrixKind.H, n).value for n in (10, 20, 40)]
     assert values[0] > values[1] > values[2] > 0.0
@@ -143,6 +199,27 @@ def test_quadrature_budget_guard(monkeypatch):
     monkeypatch.setattr(limits_module, "_quadrature_value", lambda ctx, eps, grid: 0.0)
     for letters in ("aa", "aabb", "aabbcc"):
         assert limit_word_moment(Word(letters), MatrixKind.T, "quadrature").value == 0.0
+
+
+def test_quadrature_refuses_a_grid_whose_outer_cells_are_subnormal(monkeypatch):
+    # from grid 3960 at k = 1 the graded mesh's outermost cells lie below the
+    # normal float64 range; the Hankel integrand overflowed there and the value read NaN
+    def no_nodes(*args):
+        raise AssertionError("a subnormal mesh must be refused before quadrature runs")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(limits_module, "_quadrature_value", no_nodes)
+        for letters, finest in (("aa", 3958), ("aabb", 1972)):
+            for grid in (finest + 1, finest + 2):
+                with pytest.raises(InvalidArgumentError, match=f"grid must be <= {finest} .* got {grid}"):
+                    limit_word_moment(Word(letters), MatrixKind.H, "quadrature", grid=grid)
+        with pytest.raises(InvalidArgumentError, match="grid must be <= 3958"):
+            limit_moment(1, MatrixKind.BH, "quadrature", grid=5000, threads=1)
+        with pytest.raises(InvalidArgumentError, match="grid must be <= 3958"):
+            truncated_word_moment(AA, MatrixKind.H, 0.2, "quadrature", grid=5000)
+    # the finest admitted grid still gives a finite value where the integrand is largest
+    for kind in (MatrixKind.T, MatrixKind.H):
+        assert math.isfinite(_quadrature_value(_WordContext(AA, kind), 0.0, 3958))
 
 
 def node_row_quadrature(word, kind, eps, grid):

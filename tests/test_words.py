@@ -7,6 +7,7 @@ from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.matgen import MatrixKind
 from balanced_spectra.words import (
     Word,
+    dihedral_representative,
     enumerate_pair_matched_words,
     form_matrix,
     generating_vertices,
@@ -55,6 +56,37 @@ def test_enumeration_matches_brute_force(k):
 def test_enumeration_small_cases():
     assert [w.letters for w in enumerate_pair_matched_words(1)] == ["aa"]
     assert [w.letters for w in enumerate_pair_matched_words(2)] == ["aabb", "abab", "abba"]
+
+
+@pytest.mark.parametrize("k, classes", [(1, 1), (2, 2), (3, 5), (4, 17), (5, 79)])
+def test_dihedral_class_counts(k, classes):
+    reps = {dihedral_representative(w) for w in enumerate_pair_matched_words(k)}
+    assert len(reps) == classes
+
+
+def relabel(letters):
+    """Independent canonical relabelling: the i-th distinct letter becomes the i-th of the alphabet."""
+    order = list(dict.fromkeys(letters))
+    return "".join(chr(ord("a") + order.index(ch)) for ch in letters)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_dihedral_representative_is_the_least_of_its_class(k):
+    for word in enumerate_pair_matched_words(k):
+        rep = dihedral_representative(word)
+        s = word.letters
+        images = {relabel(t[i:] + t[:i]) for t in (s, s[::-1]) for i in range(len(s))}
+        assert rep.letters == min(images)  # canonical: Word() accepted it, and it is the least image
+        assert dihedral_representative(rep) == rep
+        for image in images:  # every rotation or reversal of a member maps to it
+            assert dihedral_representative(Word(image)) == rep
+        assert is_symmetric(rep) == is_symmetric(word)
+
+
+def test_dihedral_representative_examples():
+    assert dihedral_representative(Word("abba")) == Word("aabb")
+    assert dihedral_representative(Word("abab")) == Word("abab")
+    assert dihedral_representative(Word("abcbca")) == Word("aabcbc")  # rotated by one
 
 
 def test_enumeration_guards():
