@@ -59,7 +59,7 @@ TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
 LIMIT_METHODS = ("mc-ladder", "quadrature")
 QUADRATURE_MAX_K = 3
 MIN_GRID = 4  # the error bar's coarse mesh, grid // 2 cells, needs at least 2
-QUADRATURE_BUDGET = 2**30  # bytes: the working set of one node's slice of the quadrature grid
+INTEGRAND_BUDGET = 2**30  # bytes: the working set of one quadrature node's slice or one Monte Carlo batch
 QUADRATURE_ROW_FLOATS = 8  # float64 values per row of that slice, an upper bound on its peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
@@ -86,7 +86,7 @@ class MomentEstimate:
 class _WordContext:
     """Precomputed evaluation data for one (word, pattern) pair."""
 
-    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "k")
+    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "needed", "k")
 
     def __init__(self, word: Word, kind: MatrixKind):
         self.word = word
@@ -98,35 +98,28 @@ class _WordContext:
         self.dependent = [i for i in range(1, word.length) if i not in col_of]
         # one occurrence factor per generating position i > 0: occ(L_{i-1}, x_i)
         self.gen_pairs = [(i - 1, col_of[i]) for i in vertices if i > 0]
+        self.needed = sorted({*self.dependent, *(row for row, _ in self.gen_pairs)})  # the forms the integrand reads
         self.k = word.k
 
 
-def _window_mask(ctx: _WordContext, forms, lo, hi, mask: np.ndarray) -> np.ndarray:
-    """``mask`` ANDed with the rows whose dependent forms ``forms[i]`` lie in [lo, hi]."""
-    for i in ctx.dependent:
-        col = forms[i]
-        mask &= (col >= lo) & (col <= hi)
-    return mask
+def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray | None = None) -> np.ndarray:
+    """Indicator-masked integrand on one block: 1 / prod occ(L_{i-1}, x_i) over
+    the generating positions i > 0, left to right, where every dependent form
+    lies in [lo, hi], else 0.
 
-
-def _occurrence_product(ctx: _WordContext, forms, x, occ, out: np.ndarray) -> np.ndarray:
-    """Multiply ``out``, a buffer of ones, in place by ``occ(forms[i-1], x[i])``
-    over the generating positions i > 0, left to right, and return it.
-
-    ``forms[i]`` holds L_i and ``x[c]`` generating coordinate c, broadcasting
-    to ``out``; ``occ`` is the occurrence rule, a limiting fraction or a count over n.
+    ``forms[i]`` holds L_i for the rows in ``ctx.needed`` and ``x[c]``
+    coordinate c, all broadcasting to the block's shape; ``occ`` is the
+    occurrence rule, a limiting fraction or a count over n.  ``mask``, a
+    boolean array of the block's shape, is ANDed in place with the window test,
+    so the caller can read which rows counted.
     """
-    for row, col in ctx.gen_pairs:
-        out *= occ(forms[row], x[col])
-    return out
-
-
-def _integrand_on(ctx: _WordContext, forms, x, lo: float, hi: float) -> np.ndarray:
-    """Indicator-masked integrand on one block: ``forms[i]`` holds L_i and
-    ``x[c]`` coordinate c, all broadcasting to the block's shape."""
     shape = np.broadcast_shapes(*map(np.shape, x))
-    mask = _window_mask(ctx, forms, lo, hi, np.ones(shape, dtype=bool))
-    denom = _occurrence_product(ctx, forms, x, functools.partial(occurrence_fraction, ctx.link), np.ones(shape))
+    mask = np.ones(shape, dtype=bool) if mask is None else mask
+    for i in ctx.dependent:
+        mask &= (forms[i] >= lo) & (forms[i] <= hi)
+    denom = np.ones(shape)
+    for row, col in ctx.gen_pairs:
+        denom *= occ(forms[row], x[col])
     out = np.zeros(shape)
     np.divide(1.0, denom, out=out, where=mask & (denom > 0.0))
     return out
@@ -192,7 +185,8 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
     solved for, so only win^k assignments are enumerated and a row is kept
     when c_p divides the rest and x_p lands in the window.  Assignments are
     built in blocks of about ``_BLOCK`` rows as sums of broadcast index axes,
-    and the occurrence product is evaluated on the kept rows only.
+    on which ``_integrand_on`` evaluates the word's integrand with occurrence
+    counts over n.
     """
     ctx = _WordContext(Word(letters), kind)
     lo, hi = submatrix_window(kind, n, eps)
@@ -229,15 +223,9 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
                 x.insert(p, 0)
                 x[p], rem = np.divmod(-_form(closure, x), c_p)
                 mask &= (rem == 0) & (x[p] >= lo) & (x[p] <= hi)
-            forms = {i: _form(ctx.coeffs[i], x) for i in ctx.dependent}
-            rows = np.nonzero(_window_mask(ctx, forms, lo, hi, mask))
-            kept_rows += rows[0].size
-            kept = [*head, cut[rows[0]], *(axis[r] for r in rows[1:])]
-            if p is not None:
-                kept.insert(p, 0)
-                kept[p] = -_form(closure, kept) // c_p
-            forms = {row: _form(ctx.coeffs[row], kept) for row, _ in ctx.gen_pairs}
-            block_sums.append(float(np.sum(1.0 / _occurrence_product(ctx, forms, kept, occ, np.ones(rows[0].size)))))
+            forms = {i: _form(ctx.coeffs[i], x) for i in ctx.needed}
+            block_sums.append(float(np.sum(_integrand_on(ctx, forms, x, lo, hi, occ, mask))))
+            kept_rows += int(np.count_nonzero(mask))
     return math.fsum(block_sums) / float(n) ** (ctx.k + 1), kept_rows
 
 
@@ -254,10 +242,11 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     per_batch = max(1, int(math.ceil(samples / batches)))
     vol = (hi - lo) ** (ctx.k + 1)
     rng = np.random.Generator(np.random.PCG64(seed))
+    occ = functools.partial(occurrence_fraction, ctx.link)
     means = np.empty(batches)
     for b in range(batches):
         x = rng.uniform(lo, hi, size=(per_batch, ctx.k + 1))
-        means[b] = _integrand_on(ctx, (x @ ctx.coeffs.T).T, x.T, lo, hi).mean()
+        means[b] = _integrand_on(ctx, (x @ ctx.coeffs.T).T, x.T, lo, hi, occ).mean()
     value = float(np.median(means)) * vol
     se = float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
     return value, se
@@ -301,12 +290,12 @@ def _quadrature_value(ctx: _WordContext, eps: float, grid: int) -> float:
     # forms are summed by broadcasting, as the oracle sums its index axes
     rest = np.ix_(*[nodes] * ctx.k)
     rest_w = functools.reduce(np.multiply.outer, [weights] * ctx.k).ravel()
-    needed = {*ctx.dependent, *(row for row, _ in ctx.gen_pairs)}
+    occ = functools.partial(occurrence_fraction, ctx.link)
     total = 0.0
     for x0, w0 in zip(nodes, weights):
         x = [x0, *rest]
-        forms = {i: _form(ctx.coeffs[i], x) for i in needed}
-        total += w0 * float(np.dot(rest_w, _integrand_on(ctx, forms, x, lo, hi).ravel()))
+        forms = {i: _form(ctx.coeffs[i], x) for i in ctx.needed}
+        total += w0 * float(np.dot(rest_w, _integrand_on(ctx, forms, x, lo, hi, occ).ravel()))
     return total
 
 
@@ -325,19 +314,22 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
     """Check an order-2k request before any work; return its eps-ladder and
     the highest log power j_max of the ladder's fit.
 
-    Quadrature stops above ``QUADRATURE_MAX_K``, when one node's slice of the
-    grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64 values
-    (worst tracemalloc peaks per row over the words at k = 1, 2, 3, with 10^4
-    rows or more per slice: 6.8, 5.9, 5.4 Toeplitz; 6.8, 6.9, 6.5 Hankel),
-    would exceed ``QUADRATURE_BUDGET``, and at a grid so fine that the mesh's
-    outermost cells leave the normal float64 range (above 3958 at k = 1 and
-    1972 at k = 2), where the Hankel integrand overflows and the value reads
-    NaN.  The default ladder has 4 rungs for k = 1 and 6 for k >= 2, whose
-    larger basis needs the extra dof.  A fit has j_max + 2 columns (3, 4, 5, 6
-    for the default at k = 1, 2, 3, >= 4; more for a longer ladder at
-    k >= 5), and a given ladder needs as many distinct rungs: fewer would cap
-    the basis and bias the value, and a repeated rung only adds samples at
-    its eps (the fit's normal matrix would be singular).
+    Monte Carlo stops when one batch, ceil(samples / ``BATCHES``) rows of
+    3k + 7 float64 values (tracemalloc peaks of one ``_mc_truncated`` call:
+    9.15, 12.15, 15.15, 18.15 per row at k = 1..4), would exceed
+    ``INTEGRAND_BUDGET``.  Quadrature stops above ``QUADRATURE_MAX_K``, when
+    one node's slice of the grid, (2 cells)^k rows of at most
+    ``QUADRATURE_ROW_FLOATS`` float64 values (worst tracemalloc peaks per row
+    over the words at k = 1, 2, 3, with 10^4 rows or more per slice: 6.8, 5.9,
+    5.4 Toeplitz; 6.8, 6.9, 6.5 Hankel), would exceed the same budget, and at
+    a grid so fine that the mesh's outermost cells leave the normal float64
+    range (above 3958 at k = 1 and 1972 at k = 2), where the Hankel integrand
+    overflows and the value reads NaN.  The default ladder has 4 rungs for
+    k = 1 and 6 for k >= 2, whose larger basis needs the extra dof.  A fit has
+    j_max + 2 columns (3, 4, 5, 6 for the default at k = 1, 2, 3, >= 4; more
+    for a longer ladder at k >= 5), and a given ladder needs as many distinct
+    rungs: fewer would cap the basis and bias the value, and a repeated rung
+    only adds samples at its eps (the fit's normal matrix would be singular).
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
@@ -358,21 +350,24 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
         if k > QUADRATURE_MAX_K:
             raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}, got k={k}")
         cells = grid + grid % 2  # as _graded_axis rounds it
-        need = 8 * QUADRATURE_ROW_FLOATS * (2 * cells) ** k
-        if need > QUADRATURE_BUDGET:
-            raise ResourceLimitError(
-                f"quadrature at k={k}, grid={grid} needs about {need / 2**30:.3g} GiB per node, over the "
-                f"{QUADRATURE_BUDGET / 2**30:g} GiB budget"
-            )
-        if not _mesh_is_normal(grid, k):
-            finest, refused = MIN_GRID, grid  # bisect for the finest admitted grid
-            while refused - finest > 1:
-                mid = (finest + refused) // 2
-                finest, refused = (mid, refused) if _mesh_is_normal(mid, k) else (finest, mid)
-            raise InvalidArgumentError(
-                f"grid must be <= {finest} for quadrature at k={k}, where the graded mesh's outermost cells "
-                f"stay normal float64 numbers, got {grid}"
-            )
+        need, what = 8 * QUADRATURE_ROW_FLOATS * (2 * cells) ** k, f"quadrature at k={k}, grid={grid}"
+        unit = "node"
+    else:
+        need, what = 8 * (3 * k + 7) * -(-samples // BATCHES), f"Monte Carlo at k={k} with {samples} samples"
+        unit = "batch"
+    if need > INTEGRAND_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs about {need / 2**30:.3g} GiB per {unit}, over the {INTEGRAND_BUDGET / 2**30:g} GiB budget"
+        )
+    if method == "quadrature" and not _mesh_is_normal(grid, k):
+        finest, refused = MIN_GRID, grid  # bisect for the finest admitted grid
+        while refused - finest > 1:
+            mid = (finest + refused) // 2
+            finest, refused = (mid, refused) if _mesh_is_normal(mid, k) else (finest, mid)
+        raise InvalidArgumentError(
+            f"grid must be <= {finest} for quadrature at k={k}, where the graded mesh's outermost cells "
+            f"stay normal float64 numbers, got {grid}"
+        )
     return ladder, j_max
 
 

@@ -269,13 +269,18 @@ def test_simulate_over_matrix_budget_exits_1_before_work(tmp_path, capsys):
         (["moments", "--method", "quadrature", "--k-max", "4"], "k <= 3"),
         (["limit", "--k", "2", "--method", "quadrature", "--grid", "10000000", "--threads", "1"], "GiB"),
         (["simulate", "--n", "10", "--reps", "2", "--bins", "1000001", "--threads", "1"], "histogram bins"),
+        (["limit", "--k", "1", "--samples", "1000000000000000", "--threads", "1"], "GiB per batch"),
+        (["moments", "--samples", "1000000000000000"], "GiB per batch"),
     ],
-    ids=["moments-words-cap", "moments-quadrature-cap", "limit-quadrature-budget", "simulate-bins-cap"],
+    ids=[
+        "moments-words-cap", "moments-quadrature-cap", "limit-quadrature-budget", "simulate-bins-cap",
+        "limit-mc-budget", "moments-mc-budget",
+    ],
 )
 def test_estimate_over_cap_exits_1_before_work(tmp_path, capsys, monkeypatch, args, message):
     # moments used to simulate and fit every lower order before refusing the
-    # top one, and the quadrature grid and simulate's bins used to end in
-    # numpy's _ArrayMemoryError
+    # top one, and the quadrature grid, the Monte Carlo sample count and
+    # simulate's bins used to end in numpy's _ArrayMemoryError
     forbid_work(monkeypatch, "a capped request must be refused before any work")
     out = tmp_path / "out"
     assert run_cli(*args, "--out", str(out)) == 1

@@ -24,7 +24,7 @@ from balanced_spectra.limits import (
     truncated_moment_bound,
     truncated_word_moment,
 )
-from balanced_spectra.words import Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
+from balanced_spectra.words import MAX_K, Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
 
 AA = Word("aa")
 
@@ -52,13 +52,13 @@ def brute_force_circuit_sum(word, kind, n, window=None):
     Walks every map of positions into the index window (default {1..n}) with
     a closed end, keeps those whose matched steps satisfy the pattern's pair
     constraint, and sums the reciprocal occurrence products straight from the
-    trace expansion.
+    trace expansion.  Returns the sum and the number of circuits kept.
     """
     link = kind.link
     lo, hi = window or (1, n)
     pairs = [(i, j) for i, j in word.pairing.items() if i < j]
     length = word.length
-    total = 0.0
+    total, accepted = 0.0, 0
     for pi in itertools.product(range(lo, hi + 1), repeat=length):
         walk = list(pi) + [pi[0]]
         ok = True
@@ -82,7 +82,8 @@ def brute_force_circuit_sum(word, kind, n, window=None):
                 occ = min(a + b - 1, 2 * n - a - b + 1)
             prod *= occ / n
         total += 1.0 / prod
-    return total / n ** (word.k + 1)
+        accepted += 1
+    return total / n ** (word.k + 1), accepted
 
 
 @pytest.mark.parametrize("letters", ["aa", "aabb", "abab", "abba", "abcabc", "abacbc", "aabcbc", "abacbdcd"])
@@ -91,15 +92,36 @@ def test_finite_n_matches_brute_force_circuits(letters, kind):
     # abab, abacbc, aabcbc and abacbdcd do not close under Hankel, so the oracle
     # solves one coordinate x_p from the closure; for abacbdcd it reads
     # x_0 = x_2 - x_3 + x_4, which can leave the window.  eps=0.5 trims the
-    # window at every n here under Toeplitz and at n >= 4 under Hankel
+    # window at every n here under Toeplitz and at n >= 4 under Hankel.  Each
+    # kept circuit has exactly one generating assignment, so the oracle's kept
+    # rows count the circuits
     word = Word(letters)
     for n in (2, 3, 5, 6) if word.k < 3 else (2, 3, 4):
         for eps in (0.0, 0.5):
             window = submatrix_window(kind, n, eps)
             est = finite_n_word_moment(word, kind, n, eps)
             assert est.params["window"] == list(window)
-            expected = brute_force_circuit_sum(word, kind, n, window)
+            expected, circuits = brute_force_circuit_sum(word, kind, n, window)
             assert est.value == pytest.approx(expected, abs=1e-12)
+            assert est.params["kept"] == circuits, (n, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H, MatrixKind.BT, MatrixKind.BH])
+def test_oracle_does_not_depend_on_block_size(monkeypatch, kind, eps):
+    # with 7-row blocks the head loop holds the leading axes, where the default
+    # block spans every axis; the untrimmed window of 9 indices is cut into a
+    # slice of 7 values and a partial one of 2, and the trimmed window of 7
+    # spans the last axis whole and cuts the next one value at a time
+    enumerate_sum = _finite_n_sum.__wrapped__
+    n = 9
+    words = [w.letters for k in (1, 2, 3) for w in enumerate_pair_matched_words(k)]
+    whole = {w: enumerate_sum(w, kind, n, eps) for w in words}
+    monkeypatch.setattr(limits_module, "_BLOCK", 7)
+    for w in words:
+        value, kept = enumerate_sum(w, kind, n, eps)
+        assert value == pytest.approx(whole[w][0], rel=1e-13, abs=0.0), w
+        assert kept == whole[w][1], w
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.25])
@@ -347,6 +369,51 @@ def test_monte_carlo_needs_two_batches_for_an_error_bar():
     # one batch has no spread to measure: it must not report std_error 0
     with pytest.raises(InvalidArgumentError):
         _mc_truncated(_WordContext(AA, MatrixKind.T), 0.1, 1000, 1, 0)
+
+
+def test_monte_carlo_budget_guard(monkeypatch):
+    # 10^15 samples would allocate a batch of 6.25e13 rows: refused before any
+    # realization or rung, where it used to end in numpy's _ArrayMemoryError
+    def no_work(*args, **kwargs):
+        raise AssertionError("an over-budget sample count must be refused before any work")
+
+    monkeypatch.setattr(limits_module, "_mc_truncated", no_work)
+    monkeypatch.setattr(limits_module, "simulate_spectra", no_work)
+    huge = 10**15
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        truncated_word_moment(AA, MatrixKind.T, 0.1, samples=huge)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        limit_word_moment(AA, MatrixKind.BT, samples=huge)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        limit_moment(2, MatrixKind.BT, samples=huge, threads=1)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, samples=huge)
+    # the edge at k = 1: 10 float64 per row of a batch, 2^30 bytes in all
+    per_batch = limits_module.INTEGRAND_BUDGET // (8 * 10)
+    limits_module._plan(1, "mc-ladder", None, limits_module.BATCHES * per_batch, limits_module.DEFAULT_GRID)
+    with pytest.raises(ResourceLimitError):
+        limits_module._plan(1, "mc-ladder", None, limits_module.BATCHES * per_batch + 1, limits_module.DEFAULT_GRID)
+    # the default sample count passes at every k the words enumerate
+    for k in range(1, MAX_K + 1):
+        limits_module._plan(k, "mc-ladder", None, limits_module.DEFAULT_SAMPLES, limits_module.DEFAULT_GRID)
+
+
+def test_monte_carlo_guard_bounds_the_peak():
+    # one call's tracemalloc peak per row of a batch; every word of one k has
+    # arrays of the same shapes, so a few words per k suffice
+    rows = 50_000
+    _mc_truncated(_WordContext(AA, MatrixKind.T), 0.2, 200, 2, 0)  # numpy's one-time allocations
+    for kind in (MatrixKind.T, MatrixKind.H):
+        for k in (1, 2, 3, 4):
+            for word in enumerate_pair_matched_words(k)[:5]:
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    _mc_truncated(_WordContext(word, kind), 0.2, 2 * rows, 2, 0)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert peak / (8 * rows) <= 3 * k + 7, (kind, word, peak / (8 * rows))
 
 
 # --- limiting moments ------------------------------------------------------
