@@ -63,6 +63,7 @@ INTEGRAND_BUDGET = 2**30  # bytes: the working set of one quadrature node's slic
 QUADRATURE_ROW_FLOATS = 8  # float64 values per row of that slice, an upper bound on its peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
+_MC_BLOCK = 1 << 13  # rows per Monte Carlo block: its coordinates and forms stay in L2
 
 
 class Method(Enum):
@@ -117,8 +118,11 @@ def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray | N
     mask = np.ones(shape, dtype=bool) if mask is None else mask
     for i in ctx.dependent:
         mask &= (forms[i] >= lo) & (forms[i] <= hi)
-    denom = np.ones(shape)
-    for row, col in ctx.gen_pairs:
+    (row, col), *rest = ctx.gen_pairs
+    denom = occ(forms[row], x[col])  # occ returns a fresh array, so the product can start in it
+    if np.shape(denom) != shape:  # a partial broadcast of an open mesh
+        denom = np.broadcast_to(denom, shape).copy()
+    for row, col in rest:
         denom *= occ(forms[row], x[col])
     out = np.zeros(shape)
     np.divide(1.0, denom, out=out, where=mask & (denom > 0.0))
@@ -130,8 +134,9 @@ def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray | N
 
 
 def _form(coeffs: np.ndarray, x: list) -> np.ndarray:
-    """The integer form sum_c coeffs[c] * x[c], skipping zero coefficients."""
-    return functools.reduce(np.add, [c * x[j] for j, c in enumerate(coeffs) if c])
+    """The form sum_c coeffs[c] * x[c], skipping zero coefficients and taking a
+    unit coefficient's coordinate as it is (a one-term form may be it)."""
+    return functools.reduce(np.add, [x[j] if c == 1 else c * x[j] for j, c in enumerate(coeffs) if c])
 
 
 def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0) -> MomentEstimate:
@@ -244,9 +249,19 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     rng = np.random.Generator(np.random.PCG64(seed))
     occ = functools.partial(occurrence_fraction, ctx.link)
     means = np.empty(batches)
+    draw = np.empty((per_batch, ctx.k + 1))
+    vals = np.empty(per_batch)
+    block = np.empty((ctx.k + 1, min(per_batch, _MC_BLOCK)))
     for b in range(batches):
-        x = rng.uniform(lo, hi, size=(per_batch, ctx.k + 1))
-        means[b] = _integrand_on(ctx, (x @ ctx.coeffs.T).T, x.T, lo, hi, occ).mean()
+        rng.random(out=draw)
+        for start in range(0, per_batch, _MC_BLOCK):
+            u = draw[start : start + _MC_BLOCK].T
+            x = block[:, : u.shape[1]]
+            np.multiply(u, hi - lo, out=x)  # lo + (hi - lo) * u: the doubles rng.uniform(lo, hi) draws
+            x += lo
+            forms = {i: _form(ctx.coeffs[i], x) for i in ctx.needed}
+            vals[start : start + _MC_BLOCK] = _integrand_on(ctx, forms, x, lo, hi, occ)
+        means[b] = vals.mean()  # one mean per batch keeps numpy's pairwise summation order
     value = float(np.median(means)) * vol
     se = float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
     return value, se
@@ -314,17 +329,21 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
     """Check an order-2k request before any work; return its eps-ladder and
     the highest log power j_max of the ladder's fit.
 
-    Monte Carlo stops when one batch, ceil(samples / ``BATCHES``) rows of
-    3k + 7 float64 values (tracemalloc peaks of one ``_mc_truncated`` call:
-    9.15, 12.15, 15.15, 18.15 per row at k = 1..4), would exceed
-    ``INTEGRAND_BUDGET``.  Quadrature stops above ``QUADRATURE_MAX_K``, when
-    one node's slice of the grid, (2 cells)^k rows of at most
-    ``QUADRATURE_ROW_FLOATS`` float64 values (worst tracemalloc peaks per row
-    over the words at k = 1, 2, 3, with 10^4 rows or more per slice: 6.8, 5.9,
-    5.4 Toeplitz; 6.8, 6.9, 6.5 Hankel), would exceed the same budget, and at
-    a grid so fine that the mesh's outermost cells leave the normal float64
-    range (above 3958 at k = 1 and 1972 at k = 2), where the Hankel integrand
-    overflows and the value reads NaN.  The default ladder has 4 rungs for
+    Monte Carlo stops when one batch would exceed ``INTEGRAND_BUDGET``: its
+    ceil(samples / ``BATCHES``) rows hold k + 2 float64 values each (the draw
+    buffer and the integrand values), and one block of ``_MC_BLOCK`` rows at
+    most 4k + 4 more per row (coordinates, forms and the integrand's
+    temporaries; worst tracemalloc peaks of one ``_mc_truncated`` call over the
+    words, a sample of them at k >= 5, less the k + 2 per row, were 5.5, 8.6,
+    12.7, 15.8, 20.9, 24.0, 28.2 float64 per block row at k = 1..7).
+    Quadrature stops above ``QUADRATURE_MAX_K``, when one node's slice of the
+    grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64 values
+    (worst tracemalloc peaks per row over the words at k = 1, 2, 3, with 10^4
+    rows or more per slice: 6.8, 5.9, 5.4 Toeplitz; 6.8, 6.9, 6.5 Hankel),
+    would exceed the same budget, and at a grid so fine that the mesh's
+    outermost cells leave the normal float64 range (above 3958 at k = 1 and
+    1972 at k = 2), where the Hankel integrand overflows and the value reads
+    NaN.  The default ladder has 4 rungs for
     k = 1 and 6 for k >= 2, whose larger basis needs the extra dof.  A fit has
     j_max + 2 columns (3, 4, 5, 6 for the default at k = 1, 2, 3, >= 4; more
     for a longer ladder at k >= 5), and a given ladder needs as many distinct
@@ -353,7 +372,8 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
         need, what = 8 * QUADRATURE_ROW_FLOATS * (2 * cells) ** k, f"quadrature at k={k}, grid={grid}"
         unit = "node"
     else:
-        need, what = 8 * (3 * k + 7) * -(-samples // BATCHES), f"Monte Carlo at k={k} with {samples} samples"
+        rows = -(-samples // BATCHES)
+        need, what = 8 * ((k + 2) * rows + (4 * k + 4) * _MC_BLOCK), f"Monte Carlo at k={k} with {samples} samples"
         unit = "batch"
     if need > INTEGRAND_BUDGET:
         raise ResourceLimitError(

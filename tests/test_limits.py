@@ -371,6 +371,45 @@ def test_monte_carlo_needs_two_batches_for_an_error_bar():
         _mc_truncated(_WordContext(AA, MatrixKind.T), 0.1, 1000, 1, 0)
 
 
+def _reference_mc(ctx, eps, samples, batches, seed):
+    """The Monte Carlo rung as first written: whole-batch ``rng.uniform`` draws,
+    forms by one row matmul, an integrand started from ``np.ones``, and one
+    mean per batch."""
+    lo, hi = trimmed_interval(ctx.link, eps)
+    per_batch = max(1, math.ceil(samples / batches))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    means = np.empty(batches)
+    for b in range(batches):
+        x = rng.uniform(lo, hi, size=(per_batch, ctx.k + 1))
+        forms = x @ ctx.coeffs.T
+        keep = np.ones(per_batch, dtype=bool)
+        for i in ctx.dependent:
+            keep &= (forms[:, i] >= lo) & (forms[:, i] <= hi)
+        denom = np.ones(per_batch)
+        for row, col in ctx.gen_pairs:
+            denom *= occurrence_fraction(ctx.link, forms[:, row], x[:, col])
+        vals = np.zeros(per_batch)
+        np.divide(1.0, denom, out=vals, where=keep & (denom > 0.0))
+        means[b] = vals.mean()
+    vol = (hi - lo) ** (ctx.k + 1)
+    return float(np.median(means)) * vol, float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
+
+
+@pytest.mark.parametrize("kind", list(MatrixKind))
+def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
+    # the blocked kernel scales rng.random draws as lo + (hi - lo) * u, the
+    # doubles rng.uniform(lo, hi) returns, sums each form left to right as the
+    # row matmul does, and takes one mean per batch: the same floats, not close
+    # ones.  Batches of 1 and 2 rows, one block, one block + 1 and a ragged tail
+    block = limits_module._MC_BLOCK
+    for k in (1, 2, 3):
+        for word in enumerate_pair_matched_words(k):
+            ctx = _WordContext(word, kind)
+            for eps, rows in itertools.product((0.2, 0.025), (1, 2, block, block + 1, 2 * block + 3)):
+                seed = 7 * rows + k
+                assert _mc_truncated(ctx, eps, 2 * rows - 1, 2, seed) == _reference_mc(ctx, eps, 2 * rows - 1, 2, seed)
+
+
 def test_monte_carlo_budget_guard(monkeypatch):
     # 10^15 samples would allocate a batch of 6.25e13 rows: refused before any
     # realization or rung, where it used to end in numpy's _ArrayMemoryError
@@ -388,8 +427,9 @@ def test_monte_carlo_budget_guard(monkeypatch):
         limit_moment(2, MatrixKind.BT, samples=huge, threads=1)
     with pytest.raises(ResourceLimitError, match="GiB per batch"):
         compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, samples=huge)
-    # the edge at k = 1: 10 float64 per row of a batch, 2^30 bytes in all
-    per_batch = limits_module.INTEGRAND_BUDGET // (8 * 10)
+    # the edge at k = 1: 3 float64 per row of a batch and 8 per row of one
+    # block, 2^30 bytes in all
+    per_batch = (limits_module.INTEGRAND_BUDGET // 8 - 8 * limits_module._MC_BLOCK) // 3
     limits_module._plan(1, "mc-ladder", None, limits_module.BATCHES * per_batch, limits_module.DEFAULT_GRID)
     with pytest.raises(ResourceLimitError):
         limits_module._plan(1, "mc-ladder", None, limits_module.BATCHES * per_batch + 1, limits_module.DEFAULT_GRID)
@@ -399,21 +439,23 @@ def test_monte_carlo_budget_guard(monkeypatch):
 
 
 def test_monte_carlo_guard_bounds_the_peak():
-    # one call's tracemalloc peak per row of a batch; every word of one k has
-    # arrays of the same shapes, so a few words per k suffice
-    rows = 50_000
+    # one call's tracemalloc peak against k + 2 float64 per row of a batch and
+    # 4k + 4 per row of one block, no longer than the batch (_plan counts a
+    # whole block), at a batch below one block and at one of several; the
+    # words differ in how many forms they build, so every word up to k = 3
+    # and a fifth of those at k = 4
     _mc_truncated(_WordContext(AA, MatrixKind.T), 0.2, 200, 2, 0)  # numpy's one-time allocations
-    for kind in (MatrixKind.T, MatrixKind.H):
-        for k in (1, 2, 3, 4):
-            for word in enumerate_pair_matched_words(k)[:5]:
-                tracemalloc.start()
-                try:
-                    base = tracemalloc.get_traced_memory()[0]
-                    _mc_truncated(_WordContext(word, kind), 0.2, 2 * rows, 2, 0)
-                    peak = tracemalloc.get_traced_memory()[1] - base
-                finally:
-                    tracemalloc.stop()
-                assert peak / (8 * rows) <= 3 * k + 7, (kind, word, peak / (8 * rows))
+    for kind, rows, k in itertools.product((MatrixKind.T, MatrixKind.H), (1000, 50_000), (1, 2, 3, 4)):
+        block = min(rows, limits_module._MC_BLOCK)
+        for word in enumerate_pair_matched_words(k)[:: 5 if k == 4 else 1]:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _mc_truncated(_WordContext(word, kind), 0.2, 2 * rows, 2, 0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * ((k + 2) * rows + (4 * k + 4) * block), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
