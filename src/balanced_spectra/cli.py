@@ -126,7 +126,7 @@ class Moments(_Balanced):
     dist: str = _key("normal", "input law: normal, rademacher, uniform", parse=Distribution.parse)
     k_max: int = _key(2, "compare orders 1..2*k_max", low=1)
     method: str = _key("mc-ladder", "limit method", choices=LIMIT_METHODS)
-    samples: int = _key(COMPARE_SAMPLES, "Monte Carlo samples per rung", low=1)
+    samples: int = _key(COMPARE_SAMPLES, "Monte Carlo samples per word", low=1)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,8 @@ class Limit(_Balanced):
     seed: int = _key(7, "master seed (64-bit)")
     k: int = _key(1, "half-order: computes the order-2k moment", low=1)
     method: str = _key("mc-ladder", "limit method", choices=LIMIT_METHODS)
-    samples: int = _key(DEFAULT_SAMPLES, "Monte Carlo samples per rung", low=1)
+    samples: int = _key(DEFAULT_SAMPLES, "Monte Carlo samples per word", low=1)
     grid: int = _key(DEFAULT_GRID, "quadrature cells per axis", low=MIN_GRID)
-    eps_ladder: str | None = _key(None, "comma list of rung epsilons", parse=_floats)
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,14 @@ def _keys(schema):
         yield f, flag, types[0], type(None) in types
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Refuse a command line in one line, as every other refusal: exit 2."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="balanced-spectra",
         description="Spectral laboratory for balanced random Toeplitz and Hankel matrices.",
     )
@@ -325,19 +330,15 @@ def cmd_moments(cfg: Moments) -> int:
 
 def cmd_limit(cfg: Limit) -> int:
     kind = MatrixKind.parse(cfg.kind)
-    ladder = None if cfg.eps_ladder is None else _floats(cfg.eps_ladder)
     t0 = time.perf_counter()
     estimate = limit_moment(
-        cfg.k, kind, cfg.method,
-        eps_ladder=ladder, samples=cfg.samples, seed=cfg.seed, grid=cfg.grid, threads=cfg.threads,
+        cfg.k, kind, cfg.method, samples=cfg.samples, seed=cfg.seed, grid=cfg.grid, threads=cfg.threads,
     )
     elapsed = time.perf_counter() - t0
     payload = {
         "kind": kind.link.value, "k": cfg.k, "order": 2 * cfg.k, "method": estimate.method.value,
         "value": estimate.value, "std_error": estimate.std_error, "per_word": estimate.params["per_word"],
     }
-    if "ladder" in estimate.params:
-        payload["ladder"] = estimate.params["ladder"]
     print(json.dumps(payload, indent=2, sort_keys=True))
     _write_out(cfg, [("limit.json", payload)], {"total": elapsed})
     return 0

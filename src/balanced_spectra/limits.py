@@ -18,12 +18,19 @@ Three evaluation routes are provided and cross-checked against each other:
   solved for one coordinate where it does not hold identically, once per
   rotation/reflection class of words), the finite-size oracle.
 * ``truncated_word_moment`` -- the integral restricted to an eps-trimmed box
-  where the integrand is bounded by eps^-k, via plain Monte Carlo
-  (median-of-means) or graded-mesh quadrature.
-* ``limit_word_moment`` -- the eps -> 0 value, either by an eps-ladder of
-  truncated Monte Carlo runs extrapolated in the basis eps*ln(eps)^j
-  (j up to the word order k), or by graded-mesh tensor quadrature refined
-  toward the singular faces.
+  where the integrand is bounded by eps^-k, via importance-sampled Monte
+  Carlo or graded-mesh quadrature.
+* ``limit_word_moment`` -- the eps = 0 value, either by the same Monte Carlo
+  on the untrimmed box (method ``mc-ladder``) or by graded-mesh tensor
+  quadrature refined toward the singular faces.
+
+The Monte Carlo draws x_0 uniformly and each later generating coordinate
+x_i, in walk order, from the density proportional to its own factor
+1 / occ(L_{i-1}, x_i), whose normalizer Z(L_{i-1}) and inverse CDF are closed
+forms (``matgen.occurrence_draw``).  What is left to average, the product of
+the normalizers times the indicator, is at most log-singular, so plain Monte
+Carlo has a CLT error bar at eps = 0 itself (importance sampling: Owen,
+*Monte Carlo theory, methods and examples*, 2013, ch. 9).
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .experiments import simulate_spectra
 from .inputs import Distribution, derive_seed
-from .matgen import MatrixKind, occurrence_counts, occurrence_fraction, submatrix_window, trimmed_interval
+from .matgen import (
+    MatrixKind, occurrence_counts, occurrence_draw, occurrence_fraction, submatrix_window, trimmed_interval,
+)
 from .parallel import parallel_map
 from .spectra import moment
 from .words import (
@@ -47,12 +56,10 @@ from .words import (
     linear_forms,
 )
 
-EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
-EPS_LADDER_DEEP = (0.3, 0.2, 0.15, 0.1, 0.05, 0.025)
 DEFAULT_SAMPLES = 2_000_000
 DEFAULT_GRID = 64
-COMPARE_SAMPLES = 200_000  # Monte Carlo samples per rung of compare_empirical_limit's limits
-BATCHES = 16  # median-of-means batches per Monte Carlo rung
+COMPARE_SAMPLES = 200_000  # Monte Carlo samples per word of compare_empirical_limit's limits
+BATCHES = 16  # batches per Monte Carlo estimate, whose spread gives its error bar
 GRADING = 0.7  # geometric cell ratio of the quadrature mesh
 TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
 TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
@@ -235,19 +242,47 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo on the trimmed box
+# importance-sampled Monte Carlo
+
+
+def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Importance weights W / (hi - lo) of one block from its uniforms ``u``,
+    shape (k + 1, rows), drawing its coordinates into ``x`` of the same shape.
+
+    x_0 is lo + (hi - lo) u_0; each generating coordinate after it is drawn, in
+    walk order, from the density proportional to 1 / occ(L_{i-1}, x) on [lo, hi]
+    (``matgen.occurrence_draw``), as L_{i-1} reads earlier coordinates only.  W
+    is the product of those densities' normalizers Z(L_{i-1}) where every
+    dependent form lies in [lo, hi], else 0.
+    """
+    np.multiply(u[0], hi - lo, out=x[0])
+    x[0] += lo
+    weight = np.ones(u.shape[1])
+    for row, col in ctx.gen_pairs:
+        x[col], z = occurrence_draw(ctx.link, _form(ctx.coeffs[row], x), u[col], lo, hi)
+        weight *= z
+    for i in ctx.dependent:
+        form = _form(ctx.coeffs[i], x)
+        weight[(form < lo) | (form > hi)] = 0.0
+    return weight
 
 
 def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int) -> tuple[float, float]:
+    """Importance-sampled Monte Carlo of the word integral on [lo, hi]^(k+1),
+    the trimmed box of ``eps`` in [0, 1): the mean of ``batches`` batch means
+    of the weight W (``_weight_on`` times hi - lo), and their standard
+    deviation over sqrt(batches).
+
+    W is at most log-singular, so eps = 0 needs no trim.  Each batch is drawn
+    into one buffer and weighed in blocks of ``_MC_BLOCK`` rows.  The batch
+    means are averaged, not their median taken: W is right-skewed, and the
+    median of skewed means is biased low.
+    """
     lo, hi = trimmed_interval(ctx.link, eps)
-    if eps <= 0.0:
-        raise InvalidArgumentError("plain Monte Carlo needs eps > 0 (bounded integrand)")
     if batches < 2:
         raise InvalidArgumentError(f"batches must be >= 2 for a standard error, got {batches}")
     per_batch = max(1, int(math.ceil(samples / batches)))
-    vol = (hi - lo) ** (ctx.k + 1)
     rng = np.random.Generator(np.random.PCG64(seed))
-    occ = functools.partial(occurrence_fraction, ctx.link)
     means = np.empty(batches)
     draw = np.empty((per_batch, ctx.k + 1))
     vals = np.empty(per_batch)
@@ -256,15 +291,9 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
         rng.random(out=draw)
         for start in range(0, per_batch, _MC_BLOCK):
             u = draw[start : start + _MC_BLOCK].T
-            x = block[:, : u.shape[1]]
-            np.multiply(u, hi - lo, out=x)  # lo + (hi - lo) * u: the doubles rng.uniform(lo, hi) draws
-            x += lo
-            forms = {i: _form(ctx.coeffs[i], x) for i in ctx.needed}
-            vals[start : start + _MC_BLOCK] = _integrand_on(ctx, forms, x, lo, hi, occ)
-        means[b] = vals.mean()  # one mean per batch keeps numpy's pairwise summation order
-    value = float(np.median(means)) * vol
-    se = float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
-    return value, se
+            vals[start : start + _MC_BLOCK] = _weight_on(ctx, u, block[:, : u.shape[1]], lo, hi)
+        means[b] = vals.mean()
+    return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +354,17 @@ def _quadrature_estimate(ctx: _WordContext, eps: float, grid: int) -> tuple[floa
 # public per-word estimates
 
 
-def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMIT_METHODS):
-    """Check an order-2k request before any work; return its eps-ladder and
-    the highest log power j_max of the ladder's fit.
+def _plan(k: int, method: str, samples: int, grid: int, methods=LIMIT_METHODS) -> None:
+    """Check an order-2k request before any work.
 
     Monte Carlo stops when one batch would exceed ``INTEGRAND_BUDGET``: its
     ceil(samples / ``BATCHES``) rows hold k + 2 float64 values each (the draw
-    buffer and the integrand values), and one block of ``_MC_BLOCK`` rows at
-    most 4k + 4 more per row (coordinates, forms and the integrand's
-    temporaries; worst tracemalloc peaks of one ``_mc_truncated`` call over the
-    words, a sample of them at k >= 5, less the k + 2 per row, were 5.5, 8.6,
-    12.7, 15.8, 20.9, 24.0, 28.2 float64 per block row at k = 1..7).
+    buffer and the weights), and one block of ``_MC_BLOCK`` rows at most
+    k + 17 more per row (coordinates, forms and the draws' temporaries; worst
+    tracemalloc peaks of one ``_mc_truncated`` call over the words, a sample
+    of them at k >= 5, with batches of 1,000 and 50,000 rows, less the k + 2
+    per batch row, were 13.9, 16.0, 18.0, 19.1, 20.1, 21.2, 22.4 float64 per
+    block row at k = 1..7).
     Quadrature stops above ``QUADRATURE_MAX_K``, when one node's slice of the
     grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64 values
     (worst tracemalloc peaks per row over the words at k = 1, 2, 3, with 10^4
@@ -343,12 +372,7 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
     would exceed the same budget, and at a grid so fine that the mesh's
     outermost cells leave the normal float64 range (above 3958 at k = 1 and
     1972 at k = 2), where the Hankel integrand overflows and the value reads
-    NaN.  The default ladder has 4 rungs for
-    k = 1 and 6 for k >= 2, whose larger basis needs the extra dof.  A fit has
-    j_max + 2 columns (3, 4, 5, 6 for the default at k = 1, 2, 3, >= 4; more
-    for a longer ladder at k >= 5), and a given ladder needs as many distinct
-    rungs: fewer would cap the basis and bias the value, and a repeated rung
-    only adds samples at its eps (the fit's normal matrix would be singular).
+    NaN.
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
@@ -356,15 +380,6 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     if grid < MIN_GRID:
         raise InvalidArgumentError(f"grid must be >= {MIN_GRID}, got {grid}")
-    default = EPS_LADDER if k == 1 else EPS_LADDER_DEEP
-    ladder = default if eps_ladder is None else tuple(eps_ladder)
-    if not all(0.0 < eps < 1.0 for eps in ladder):
-        raise InvalidArgumentError("ladder epsilons must lie in (0, 1)")
-    j_max = min(k, max(len(ladder), len(default)) - 2)
-    if len(set(ladder)) < j_max + 2:
-        raise InvalidArgumentError(
-            f"eps ladder needs at least {j_max + 2} distinct rungs for an order-{2 * k} fit, got {ladder}"
-        )
     if method == "quadrature":
         if k > QUADRATURE_MAX_K:
             raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}, got k={k}")
@@ -373,7 +388,7 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
         unit = "node"
     else:
         rows = -(-samples // BATCHES)
-        need, what = 8 * ((k + 2) * rows + (4 * k + 4) * _MC_BLOCK), f"Monte Carlo at k={k} with {samples} samples"
+        need, what = 8 * ((k + 2) * rows + (k + 17) * _MC_BLOCK), f"Monte Carlo at k={k} with {samples} samples"
         unit = "batch"
     if need > INTEGRAND_BUDGET:
         raise ResourceLimitError(
@@ -388,7 +403,6 @@ def _plan(k: int, method: str, eps_ladder, samples: int, grid: int, methods=LIMI
             f"grid must be <= {finest} for quadrature at k={k}, where the graded mesh's outermost cells "
             f"stay normal float64 numbers, got {grid}"
         )
-    return ladder, j_max
 
 
 def _analytic_zero(kind: MatrixKind, word: Word | None = None, order: int | None = None) -> MomentEstimate | None:
@@ -415,11 +429,12 @@ def truncated_word_moment(
     """Word contribution to the eps-trimmed moment (bounded integrand).
 
     On the trimmed box every occurrence fraction is at least eps, so the
-    integrand is bounded by eps^-k and plain Monte Carlo has finite variance.
+    integrand is bounded by eps^-k; ``mc`` is the importance-sampled Monte
+    Carlo of ``limit_word_moment``, which also covers eps = 0.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidArgumentError("eps must lie in (0, 1)")
-    _plan(word.k, method, None, samples, grid, methods=("mc", "quadrature"))
+    _plan(word.k, method, samples, grid, methods=("mc", "quadrature"))
     if (zero := _analytic_zero(kind, word)) is not None:
         return zero
     ctx = _WordContext(word, kind)
@@ -435,39 +450,19 @@ def truncated_word_moment(
     )
 
 
-def _ladder_extrapolate(rungs: list[tuple[float, float, float]], j_max: int) -> tuple[float, float]:
-    """Weighted least-squares intercept of value ~ 1 + sum_j eps*ln(eps)^j.
-
-    The truncation deficit of an order-2k word integral carries terms
-    eps*ln(eps)^j up to j = k (the k = 1 case reduces to the closed-form
-    shape 2(1 - eps + eps*ln(eps))), so the basis grows with the word order.
-    """
-    eps = np.array([r[0] for r in rungs])
-    y = np.array([r[1] for r in rungs])
-    se = np.array([max(r[2], 1e-12) for r in rungs])
-    log_eps = np.log(eps)
-    cols = [np.ones_like(eps)] + [eps * log_eps**j for j in range(j_max, -1, -1)]
-    design = np.column_stack(cols)
-    w = 1.0 / se**2
-    normal = design.T @ (w[:, None] * design)
-    rhs = design.T @ (w * y)
-    beta = np.linalg.solve(normal, rhs)
-    cov = np.linalg.inv(normal)
-    return float(beta[0]), float(math.sqrt(max(cov[0, 0], 0.0)))
-
-
 def limit_word_moment(
     word: Word,
     kind: MatrixKind,
     method: str = "mc-ladder",
     *,
-    eps_ladder: tuple[float, ...] | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     grid: int = DEFAULT_GRID,
 ) -> MomentEstimate:
-    """Word contribution to the limiting moment (eps -> 0)."""
-    eps_ladder, j_max = _plan(word.k, method, eps_ladder, samples, grid)
+    """Word contribution to the limiting moment (eps = 0): ``mc-ladder`` is one
+    importance-sampled Monte Carlo estimate of ``samples`` draws, ``quadrature``
+    the graded mesh of ``grid`` cells per axis."""
+    _plan(word.k, method, samples, grid)
     if (zero := _analytic_zero(kind, word)) is not None:
         return zero
     ctx = _WordContext(word, kind)
@@ -475,19 +470,8 @@ def limit_word_moment(
         value, se = _quadrature_estimate(ctx, 0.0, grid)
         params = {"grid": grid, "grading": GRADING}
     else:
-        ladder = []
-        for r, eps in enumerate(eps_ladder):
-            v, se = _mc_truncated(ctx, eps, samples, BATCHES, derive_seed(seed, r))
-            ladder.append((eps, v, se))
-        value, se = _ladder_extrapolate(ladder, j_max)
-        params = {
-            "ladder": [{"eps": e, "value": v, "std_error": s} for e, v, s in ladder],
-            "raw_last_rung": {"eps": ladder[-1][0], "value": ladder[-1][1], "std_error": ladder[-1][2]},
-            "log_powers": j_max,
-            "samples": samples,
-            "batches": BATCHES,
-            "seed": seed,
-        }
+        value, se = _mc_truncated(ctx, 0.0, samples, BATCHES, seed)
+        params = {"samples": samples, "batches": BATCHES, "seed": seed}
     return MomentEstimate(
         value=value, std_error=se, method=Method(method), params={"kind": ctx.link.value, **params}, word=word
     )
@@ -498,12 +482,9 @@ def limit_word_moment(
 
 
 def _word_estimate(
-    words: list[Word], kind: MatrixKind, method: str, eps_ladder: tuple[float, ...],
-    samples: int, seed: int, grid: int, i: int,
+    words: list[Word], kind: MatrixKind, method: str, samples: int, seed: int, grid: int, i: int,
 ) -> MomentEstimate:
-    return limit_word_moment(
-        words[i], kind, method, eps_ladder=eps_ladder, samples=samples, seed=derive_seed(seed, i), grid=grid
-    )
+    return limit_word_moment(words[i], kind, method, samples=samples, seed=derive_seed(seed, i), grid=grid)
 
 
 def limit_moment(
@@ -511,7 +492,6 @@ def limit_moment(
     kind: MatrixKind,
     method: str = "mc-ladder",
     *,
-    eps_ladder: tuple[float, ...] | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     grid: int = DEFAULT_GRID,
@@ -519,30 +499,23 @@ def limit_moment(
 ) -> MomentEstimate:
     """Order-2k limiting moment: sum of word contributions with error bars.
 
-    The per-word breakdown (and, for the ladder method, each word's rung
-    table) is recorded in ``params['per_word']``.  Words are independent
-    tasks with derived seeds, so the result does not depend on ``threads``.
+    The per-word breakdown is recorded in ``params['per_word']``.  Words are
+    independent tasks with derived seeds (``samples`` draws each for
+    ``mc-ladder``), so the result does not depend on ``threads``.
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    eps_ladder, _ = _plan(k, method, eps_ladder, samples, grid)
+    _plan(k, method, samples, grid)
     words = enumerate_pair_matched_words(k)
-    estimate = functools.partial(_word_estimate, words, kind, method, eps_ladder, samples, seed, grid)
+    estimate = functools.partial(_word_estimate, words, kind, method, samples, seed, grid)
     estimates = parallel_map(estimate, range(len(words)), workers=threads)
     value = sum(e.value for e in estimates)
     se = math.sqrt(sum(e.std_error**2 for e in estimates))
-    per_word = []
-    for w, e in zip(words, estimates):
-        entry = {
-            "word": w.letters,
-            "symmetric": is_symmetric(w),
-            "value": e.value,
-            "std_error": e.std_error,
-            "method": e.method.value,
-        }
-        if "ladder" in e.params:
-            entry["ladder"] = e.params["ladder"]
-        per_word.append(entry)
+    per_word = [
+        {"word": w.letters, "symmetric": is_symmetric(w), "value": e.value, "std_error": e.std_error,
+         "method": e.method.value}
+        for w, e in zip(words, estimates)
+    ]
     params = {
         "k": k,
         "kind": kind.link.value,
@@ -551,10 +524,7 @@ def limit_moment(
         "samples": samples,
         "seed": seed,
     }
-    if method == "mc-ladder":
-        params["eps_ladder"] = list(eps_ladder)
-        params["ladder"] = _aggregate_ladder(per_word, eps_ladder)
-    else:
+    if method == "quadrature":
         params["grid"] = grid
         params["grading"] = GRADING
     return MomentEstimate(
@@ -564,18 +534,6 @@ def limit_moment(
         params=params,
         word=None,
     )
-
-
-def _aggregate_ladder(per_word: list[dict], eps_ladder: tuple[float, ...]) -> list[dict]:
-    tables = [entry["ladder"] for entry in per_word if "ladder" in entry]  # analytic zeros have none
-    return [
-        {
-            "eps": eps,
-            "value": sum((t[r]["value"] for t in tables), 0.0),
-            "std_error": math.sqrt(sum((t[r]["std_error"] ** 2 for t in tables), 0.0)),
-        }
-        for r, eps in enumerate(eps_ladder)
-    ]
 
 
 def limit_moment_of_order(
@@ -655,7 +613,7 @@ def compare_empirical_limit(
         raise InvalidArgumentError("empirical-vs-limit comparison targets balanced kinds (bt, bh)")
     if reps < 2:
         raise InvalidArgumentError("need reps >= 2 for standard errors")
-    _plan(k_max, method, None, samples, DEFAULT_GRID)
+    _plan(k_max, method, samples, DEFAULT_GRID)
     if k_max > MAX_K:
         raise ResourceLimitError(f"orders up to {2 * k_max} need words of k={k_max}, over the enumeration cap {MAX_K}")
     spectra = simulate_spectra(kind, dist, n, reps, seed, threads=threads)

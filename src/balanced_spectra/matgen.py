@@ -111,6 +111,31 @@ def occurrence_fraction(kind: MatrixKind, x, y):
     return np.minimum(x + y, 2.0 - x - y)
 
 
+def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float):
+    """Draw x on [lo, hi] with density 1 / (Z occurrence_fraction(kind, y, x))
+    at the uniforms u in [0, 1), elementwise; return (x, Z).
+
+    Both patterns read occ = min(c + x, 2 - c - x), with c = y for Hankel and
+    1 - y for Toeplitz, kinked at x = 1 - c.  So Z = A - ln(2 - c - hi) with
+    A = -ln(c + lo), and the inverse CDF at t = u Z is (c + lo) e^t - c below
+    the kink (t <= A) and 2 - c - e^(A - t) above it.  Where y lies outside
+    [lo, hi] or occ vanishes at an end of it, Z is 0 (and x some point of
+    [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are arrays.
+    """
+    # 1 - c is formed without cancellation, so Z stays right for y within an
+    # ulp of 0 or 1
+    c, one_minus_c = (y, 1.0 - y) if kind.link is MatrixKind.H else (1.0 - y, y)
+    left, right = c + lo, one_minus_c + (1.0 - hi)  # occ(y, lo) and occ(y, hi)
+    bad = (y < lo) | (y > hi) | (left <= 0.0) | (right <= 0.0)
+    left[bad] = right[bad] = 1.0  # Z = 0
+    a = -np.log(left)
+    z = a - np.log(right)
+    d = u * z - a  # t - A: at most 0 below the kink
+    e = np.exp(-np.abs(d))  # e^(t - A) = (c + lo) e^t below the kink, e^(A - t) above: neither overflows
+    x = np.where(d <= 0.0, e - c, one_minus_c + (1.0 - e))
+    return np.clip(x, lo, hi, out=x), z
+
+
 def check_matrix_budget(n: int) -> None:
     """Refuse, before allocating it, an n x n float64 matrix over MATRIX_BUDGET bytes."""
     need = 8 * int(n) ** 2

@@ -175,8 +175,9 @@ def suite_limits() -> list[CheckResult]:
     closed = 2 * (1 - eps + eps * math.log(eps))
     q = limits.truncated_word_moment(aa, MatrixKind.T, eps, "quadrature", grid=32)
     _check(out, "limits", "truncated closed form (quadrature)", abs(q.value - closed) < 5e-3, f"{q.value:.5f} vs {closed:.5f}")
-    lad = limits.limit_word_moment(aa, MatrixKind.T, "mc-ladder", samples=200_000, seed=1)
-    _check(out, "limits", "ladder recovers limit 2.0", abs(lad.value - 2.0) < 0.05, f"{lad.value:.4f}")
+    mc = limits.limit_word_moment(aa, MatrixKind.T, "mc-ladder", samples=200_000, seed=1)
+    _check(out, "limits", "Monte Carlo limit within 4 bars of 2", abs(mc.value - 2.0) <= 4 * mc.std_error,
+           f"{mc.value:.5f} +- {mc.std_error:.5f}")
     v20 = limits.finite_n_word_moment(Word("abab"), MatrixKind.H, 20).value
     v40 = limits.finite_n_word_moment(Word("abab"), MatrixKind.H, 40).value
     _check(out, "limits", "hankel non-symmetric decay", v40 < v20, f"{v20:.4f} -> {v40:.4f}")

@@ -17,7 +17,7 @@ def run_cli(*args):
 
 
 def forbid_work(monkeypatch, why):
-    """Make any realization, Monte Carlo rung or quadrature node fail the test."""
+    """Make any realization, Monte Carlo estimate or quadrature node fail the test."""
     def no_work(*args, **kwargs):
         raise AssertionError(why)
 
@@ -93,8 +93,7 @@ def test_simulate_threads_do_not_change_results(tmp_path):
             ("moments.json", "moments.csv"),
         ),
         (
-            # the ladder stays the raw flag string in the manifest and must replay as one
-            ["limit", "--k", "1", "--samples", "20000", "--seed", "3", "--eps-ladder", "0.2,0.1,0.05", "--threads", "1"],
+            ["limit", "--k", "1", "--samples", "20000", "--seed", "3", "--threads", "1"],
             ("limit.json",),
         ),
         (["words", "--k", "3"], ("words.json",)),
@@ -147,7 +146,10 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["limit", "--k", "1", "--samples", "0"], None, "--samples"),
         (["simulate", "--config", "{cfg}"], {"dump_matrices": "false"}, "'dump_matrices'"),
         (["simulate", "--config", "{cfg}"], 5, "JSON object"),
-        (["limit", "--config", "{cfg}"], {"eps_ladder": ["x", 0.1, 0.2]}, "--eps-ladder"),
+        # the eps-ladder is gone: its flag and its config key, as old manifests
+        # carry it (null when the default ladder ran), are refused
+        (["limit", "--config", "{cfg}"], {"eps_ladder": ["x", 0.1, 0.2]},
+         "unknown config keys for limit: ['eps_ladder']"),
         (["simulate", "--config", "{cfg}"], {"command": "limit"}, "'limit'"),
         # each range rule once through its flag and once through a --config value
         (["simulate", "--n", "0"], None, "--n"),
@@ -161,14 +163,14 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["simulate", "--config", "{cfg}"], {"kind": "bx"}, "'kind'"),
         (["moments", "--method", "simpson"], None, "--method"),
         (["moments", "--config", "{cfg}"], {"method": "simpson"}, "'method'"),
-        (["limit", "--k", "1", "--eps-ladder", "0.1,0.1,0.1,0.1"], None, "distinct"),
-        (["limit", "--config", "{cfg}"], {"k": 2, "eps_ladder": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1]}, "distinct"),
-        (["limit", "--eps-ladder", "0,0.1,0.2"], None, "(0, 1)"),
-        (["limit", "--config", "{cfg}"], {"eps_ladder": [0.5, 1.0, 0.2]}, "(0, 1)"),
+        (["limit", "--k", "1", "--eps-ladder", "0.1,0.1,0.1,0.1"], None, "unrecognized arguments: --eps-ladder"),
+        (["limit", "--config", "{cfg}"], {"k": 2, "eps_ladder": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1]}, "'eps_ladder'"),
+        (["limit", "--eps-ladder", "0,0.1,0.2"], None, "unrecognized arguments: --eps-ladder"),
+        (["limit", "--config", "{cfg}"], {"eps_ladder": [0.5, 1.0, 0.2]}, "'eps_ladder'"),
         (["verify", "--suite", "words,nope"], None, "'nope'"),
         (["verify", "--config", "{cfg}"], {"suite": "nope"}, "'nope'"),
         (["limit", "--config", "{cfg}"], {"out": 5}, "'out'"),
-        (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "distinct"),
+        (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "unrecognized arguments: --eps-ladder"),
         (["verify", "--config", "{cfg}"], {"out": "x"}, "unknown config keys"),
         (["limit", "--method", "quadrature", "--grid", "2"], None, "grid"),
         # an output directory that could not be made is refused before any work
@@ -180,6 +182,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["limit", "--config", "{cfg}"], {"kind": "h"}, "'kind'"),
         # the graded mesh's outermost cells go subnormal; this grid used to print "value": NaN with exit 0
         (["limit", "--kind", "bh", "--k", "1", "--method", "quadrature", "--grid", "5000"], None, "grid must be <= 3958"),
+        (["limit", "--config", "{cfg}"], {"k": 2, "eps_ladder": None}, "'eps_ladder'"),
     ],
     ids=[
         "threads-0", "range-inf", "config-n-abc", "samples-0",
@@ -190,7 +193,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
         "config-out-number", "ladder-short-for-k", "config-verify-out", "quadrature-grid-2",
         "out-existing-file", "out-under-file", "config-out-file", "limit-kind-t", "config-limit-kind-h",
-        "quadrature-grid-subnormal",
+        "quadrature-grid-subnormal", "config-ladder-null",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
@@ -201,7 +204,11 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, co
     argv = [arg.replace("{cfg}", str(cfg)) for arg in args]
     if argv[0] == "simulate":
         argv += ["--out", str(out)]
-    assert run_cli(*argv) == 2
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses a flag the command does not have
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -304,7 +311,7 @@ def test_limit_json_schema_and_determinism(tmp_path, capsys):
     assert payload["kind"] == "t" and payload["k"] == 1 and payload["order"] == 2
     assert payload["method"] == "mc-ladder"
     assert abs(payload["value"] - 2.0) < 0.2
-    assert len(payload["ladder"]) == 4
+    assert sorted(payload) == ["k", "kind", "method", "order", "per_word", "std_error", "value"]
     assert len(payload["per_word"]) == 1
 
     out2 = tmp_path / "l2"

@@ -2,13 +2,14 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
-from balanced_spectra.matgen import MatrixKind, occurrence_fraction, submatrix_window, trimmed_interval
+from balanced_spectra.matgen import MatrixKind, occurrence_draw, occurrence_fraction, submatrix_window, trimmed_interval
 from balanced_spectra.limits import (
     Method,
     _WordContext,
@@ -16,6 +17,7 @@ from balanced_spectra.limits import (
     _graded_axis,
     _mc_truncated,
     _quadrature_value,
+    _weight_on,
     compare_empirical_limit,
     finite_n_word_moment,
     limit_moment,
@@ -25,6 +27,7 @@ from balanced_spectra.limits import (
     truncated_word_moment,
 )
 from balanced_spectra.words import MAX_K, Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
+from limit_references import TOEPLITZ_K2_WORDS, TOTALS
 
 AA = Word("aa")
 
@@ -311,7 +314,7 @@ def test_finite_n_trimmed_pair_word_closed_form():
 # --- truncated moments -----------------------------------------------------
 
 
-@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.3])
 def test_truncated_pair_word_closed_form_mc(eps):
     est = truncated_word_moment(AA, MatrixKind.T, eps, "mc", samples=400_000, seed=3)
     assert est.value == pytest.approx(closed_form_truncated_pair(eps), abs=6 * max(est.std_error, 1e-4))
@@ -372,47 +375,66 @@ def test_monte_carlo_needs_two_batches_for_an_error_bar():
 
 
 def _reference_mc(ctx, eps, samples, batches, seed):
-    """The Monte Carlo rung as first written: whole-batch ``rng.uniform`` draws,
-    forms by one row matmul, an integrand started from ``np.ones``, and one
-    mean per batch."""
+    """The importance-sampled estimate on whole batches: ``rng.random`` draws
+    of the batch's shape, each form summed over all its columns, each
+    coordinate drawn by ``occurrence_draw`` over the whole batch, and the mean
+    of the batch means."""
     lo, hi = trimmed_interval(ctx.link, eps)
     per_batch = max(1, math.ceil(samples / batches))
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.empty(batches)
     for b in range(batches):
-        x = rng.uniform(lo, hi, size=(per_batch, ctx.k + 1))
-        forms = x @ ctx.coeffs.T
-        keep = np.ones(per_batch, dtype=bool)
-        for i in ctx.dependent:
-            keep &= (forms[:, i] >= lo) & (forms[:, i] <= hi)
-        denom = np.ones(per_batch)
+        u = rng.random((per_batch, ctx.k + 1)).T
+        x = np.zeros(u.shape)
+        x[0] = lo + (hi - lo) * u[0]
+        weight = np.ones(per_batch)
         for row, col in ctx.gen_pairs:
-            denom *= occurrence_fraction(ctx.link, forms[:, row], x[:, col])
-        vals = np.zeros(per_batch)
-        np.divide(1.0, denom, out=vals, where=keep & (denom > 0.0))
-        means[b] = vals.mean()
-    vol = (hi - lo) ** (ctx.k + 1)
-    return float(np.median(means)) * vol, float(np.std(means, ddof=1) / math.sqrt(batches)) * vol
+            x[col], z = occurrence_draw(ctx.link, sum(c * x[j] for j, c in enumerate(ctx.coeffs[row])), u[col], lo, hi)
+            weight *= z
+        for i in ctx.dependent:
+            form = sum(c * x[j] for j, c in enumerate(ctx.coeffs[i]))
+            weight[(form < lo) | (form > hi)] = 0.0
+        means[b] = weight.mean()
+    return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
 def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
-    # the blocked kernel scales rng.random draws as lo + (hi - lo) * u, the
-    # doubles rng.uniform(lo, hi) returns, sums each form left to right as the
-    # row matmul does, and takes one mean per batch: the same floats, not close
+    # the blocked kernel draws into one buffer, weighs it in blocks of
+    # _MC_BLOCK rows, sums each form left to right over its nonzero terms and
+    # takes one mean per batch: the same floats as whole batches, not close
     # ones.  Batches of 1 and 2 rows, one block, one block + 1 and a ragged tail
     block = limits_module._MC_BLOCK
     for k in (1, 2, 3):
         for word in enumerate_pair_matched_words(k):
             ctx = _WordContext(word, kind)
-            for eps, rows in itertools.product((0.2, 0.025), (1, 2, block, block + 1, 2 * block + 3)):
+            for eps, rows in itertools.product((0.0, 0.1), (1, 2, block, block + 1, 2 * block + 3)):
                 seed = 7 * rows + k
                 assert _mc_truncated(ctx, eps, 2 * rows - 1, 2, seed) == _reference_mc(ctx, eps, 2 * rows - 1, 2, seed)
 
 
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_weights_stay_finite_at_the_extreme_uniforms(kind):
+    # rng.random returns values in [0, 1 - 2^-53], 0 included: at eps = 0 a
+    # coordinate at 0 or 1 makes the next factor's occurrence vanish at an end
+    # of the axis, which must give weight 0 before any log(0), and the inverse
+    # CDF must keep every coordinate inside the axis
+    lo, hi = trimmed_interval(kind, 0.0)
+    for k in (1, 2, 3):
+        u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53), repeat=k + 1))).T
+        for word in enumerate_pair_matched_words(k):
+            x = np.full_like(u, np.nan)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                weight = _weight_on(_WordContext(word, kind), u, x, lo, hi)
+            assert np.all((x >= lo) & (x <= hi)), word
+            assert np.all(np.isfinite(weight) & (weight >= 0.0)), word
+            assert np.any(weight > 0.0), word
+
+
 def test_monte_carlo_budget_guard(monkeypatch):
     # 10^15 samples would allocate a batch of 6.25e13 rows: refused before any
-    # realization or rung, where it used to end in numpy's _ArrayMemoryError
+    # realization or draw, where it used to end in numpy's _ArrayMemoryError
     def no_work(*args, **kwargs):
         raise AssertionError("an over-budget sample count must be refused before any work")
 
@@ -427,35 +449,35 @@ def test_monte_carlo_budget_guard(monkeypatch):
         limit_moment(2, MatrixKind.BT, samples=huge, threads=1)
     with pytest.raises(ResourceLimitError, match="GiB per batch"):
         compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, samples=huge)
-    # the edge at k = 1: 3 float64 per row of a batch and 8 per row of one
+    # the edge at k = 1: 3 float64 per row of a batch and 18 per row of one
     # block, 2^30 bytes in all
-    per_batch = (limits_module.INTEGRAND_BUDGET // 8 - 8 * limits_module._MC_BLOCK) // 3
-    limits_module._plan(1, "mc-ladder", None, limits_module.BATCHES * per_batch, limits_module.DEFAULT_GRID)
+    per_batch = (limits_module.INTEGRAND_BUDGET // 8 - 18 * limits_module._MC_BLOCK) // 3
+    limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch, limits_module.DEFAULT_GRID)
     with pytest.raises(ResourceLimitError):
-        limits_module._plan(1, "mc-ladder", None, limits_module.BATCHES * per_batch + 1, limits_module.DEFAULT_GRID)
+        limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1, limits_module.DEFAULT_GRID)
     # the default sample count passes at every k the words enumerate
     for k in range(1, MAX_K + 1):
-        limits_module._plan(k, "mc-ladder", None, limits_module.DEFAULT_SAMPLES, limits_module.DEFAULT_GRID)
+        limits_module._plan(k, "mc-ladder", limits_module.DEFAULT_SAMPLES, limits_module.DEFAULT_GRID)
 
 
 def test_monte_carlo_guard_bounds_the_peak():
     # one call's tracemalloc peak against k + 2 float64 per row of a batch and
-    # 4k + 4 per row of one block, no longer than the batch (_plan counts a
+    # k + 17 per row of one block, no longer than the batch (_plan counts a
     # whole block), at a batch below one block and at one of several; the
-    # words differ in how many forms they build, so every word up to k = 3
-    # and a fifth of those at k = 4
-    _mc_truncated(_WordContext(AA, MatrixKind.T), 0.2, 200, 2, 0)  # numpy's one-time allocations
-    for kind, rows, k in itertools.product((MatrixKind.T, MatrixKind.H), (1000, 50_000), (1, 2, 3, 4)):
+    # words differ in how many forms and draws they make, so every word up to
+    # k = 3 and a fifth of those at k = 4
+    _mc_truncated(_WordContext(AA, MatrixKind.T), 0.0, 200, 2, 0)  # numpy's one-time allocations
+    for kind, rows, k in itertools.product((MatrixKind.T, MatrixKind.H), (1000, 20_000), (1, 2, 3, 4)):
         block = min(rows, limits_module._MC_BLOCK)
         for word in enumerate_pair_matched_words(k)[:: 5 if k == 4 else 1]:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                _mc_truncated(_WordContext(word, kind), 0.2, 2 * rows, 2, 0)
+                _mc_truncated(_WordContext(word, kind), 0.0, 2 * rows, 2, 0)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * ((k + 2) * rows + (4 * k + 4) * block), (kind, rows, word, peak / 8)
+            assert peak <= 8 * ((k + 2) * rows + (k + 17) * block), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
@@ -469,50 +491,23 @@ def test_limit_pair_word_quadrature(kind):
 
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_limit_pair_word_ladder(kind):
+    # the mc-ladder method is one importance-sampled estimate at eps = 0, with
+    # no rung table or fit behind it
     est = limit_word_moment(AA, kind, "mc-ladder", samples=400_000, seed=5)
-    assert est.value == pytest.approx(2.0, abs=0.03)
-    assert "ladder" in est.params
-    assert len(est.params["ladder"]) == 4
-    assert est.params["raw_last_rung"]["eps"] == 0.025
-
-
-@pytest.mark.parametrize(
-    "letters, ladder",
-    [
-        ("aabb", (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)),
-        ("aa", (0.1,) * 4),
-        ("aa", (0.1, 0.1, 0.05, 0.05)),
-        ("aabb", (0.3, 0.2, 0.1)),
-        ("aabbccddee", (0.3, 0.2, 0.15, 0.1, 0.05, 0.025, 0.025)),
-    ],
-)
-def test_ladder_needs_a_distinct_rung_per_basis_column(monkeypatch, letters, ladder):
-    # a repeated rung cannot stand in for a missing one: without this check the
-    # singular fit returned 4.000 +- 192757 for aabb and 1.169 +- 0.0 for aa;
-    # three rungs at k=2 were fitted with a capped basis, giving 4.035 +- 0.019
-    # for aabb where quadrature gives 4.708
-    def no_sampling(*args):
-        raise AssertionError("the ladder must be rejected before any rung is sampled")
-
-    monkeypatch.setattr(limits_module, "_mc_truncated", no_sampling)
-    with pytest.raises(InvalidArgumentError, match="distinct rungs"):
-        limit_word_moment(Word(letters), MatrixKind.BT, eps_ladder=ladder, samples=1000)
-    with pytest.raises(InvalidArgumentError, match="distinct rungs"):
-        limit_moment(Word(letters).k, MatrixKind.BT, eps_ladder=ladder, samples=1000, threads=1)
-
-
-def test_ladder_with_a_repeated_rung_still_fits():
-    est = limit_word_moment(AA, MatrixKind.T, eps_ladder=(0.2, 0.1, 0.1, 0.05), samples=200_000, seed=8)
-    assert est.params["log_powers"] == 1
-    assert 0.0 < est.std_error < 0.1
-    assert abs(est.value - 2.0) < 5 * est.std_error
+    assert abs(est.value - 2.0) <= 4 * est.std_error
+    assert 0.0 < est.std_error < 0.005
+    assert est.params == {"kind": kind.value, "samples": 400_000, "batches": 16, "seed": 5}
 
 
 def test_ladder_rungs_increase_toward_limit():
-    est = limit_word_moment(AA, MatrixKind.T, "mc-ladder", samples=300_000, seed=6)
-    rung_values = [row["value"] for row in est.params["ladder"]]
-    assert all(a < b for a, b in zip(rung_values, rung_values[1:]))
-    assert rung_values[-1] < est.value
+    # the one kernel at eps = 0.2 .. 0.025 and at eps = 0 itself: the trimmed
+    # values rise toward the limit
+    values = [
+        truncated_word_moment(AA, MatrixKind.T, eps, "mc", samples=300_000, seed=6).value
+        for eps in (0.2, 0.1, 0.05, 0.025)
+    ]
+    values.append(limit_word_moment(AA, MatrixKind.T, "mc-ladder", samples=300_000, seed=6).value)
+    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_limit_hankel_nonsymmetric_zero():
@@ -536,13 +531,6 @@ def test_limit_moment_k2_breakdown_sums():
     # non-symmetric word contributes an exact zero to the hankel sum
     assert per_word[1]["value"] == 0.0
     assert per_word[0]["value"] > 0 and per_word[2]["value"] > 0
-
-
-def test_limit_moment_aggregated_ladder_table():
-    est = limit_moment(1, MatrixKind.T, "mc-ladder", samples=200_000, seed=9)
-    table = est.params["ladder"]
-    assert [row["eps"] for row in table] == [0.2, 0.1, 0.05, 0.025]
-    assert table[-1]["value"] < est.value
 
 
 def test_odd_moments_vanish_exactly():
@@ -620,6 +608,51 @@ def test_limit_moment_independent_of_worker_count():
     pooled = limit_moment(2, MatrixKind.T, "mc-ladder", samples=20_000, seed=13, threads=2)
     assert serial.value == pooled.value
     assert serial.params["per_word"] == pooled.params["per_word"]
+
+
+# --- Monte Carlo against independent references ----------------------------
+
+
+def z_scores(estimates, reference):
+    """z of each (value, std_error) against a reference (value, spread)."""
+    ref, spread = reference
+    return np.array([(value - ref) / math.hypot(se, spread) for value, se in estimates])
+
+
+def assert_honest(z, what, bars=4.0):
+    # every estimate within `bars` of its combined bars, and no common drift:
+    # the mean of n independent z scores has sd 1 / sqrt(n)
+    assert np.all(np.abs(z) <= bars), (what, z)
+    assert abs(z.mean()) <= 3.0 / math.sqrt(z.size), (what, z.mean())
+
+
+@pytest.mark.parametrize(
+    "k, kind, seeds, samples",
+    [(1, MatrixKind.T, 16, 200_000), (1, MatrixKind.H, 16, 200_000), (2, MatrixKind.BH, 16, 200_000),
+     (3, MatrixKind.BT, 4, 200_000)],
+    ids=["k1-t", "k1-h", "k2-bh", "k3-bt"],
+)
+def test_monte_carlo_limit_matches_the_references_over_seeds(k, kind, seeds, samples):
+    # limit_moment seeds each word from the master seed by derive_seed, so the
+    # words of one rotation/reflection class are drawn from separate streams
+    estimates = [limit_moment(k, kind, "mc-ladder", samples=samples, seed=s, threads=1) for s in range(seeds)]
+    assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(k, kind.link.value)]), (k, kind))
+
+
+def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds():
+    # a word's bar is the spread of 16 batch means of a skewed weight, so its z
+    # follows Student's t with 15 dof more than a normal law (and has a longer
+    # low tail: a batch that misses the rare large weights reads low with a
+    # small spread).  Over 100 seeds at 200,000 samples the three words' z had
+    # sd 1.08-1.14 and reached -4.11 (abab, seed 15 here); over 60 at 10^6,
+    # sd 1.03-1.22, from -4.44 to +4.29.  So a total is held to 4 bars and one
+    # word's estimate to 5
+    estimates = [limit_moment(2, MatrixKind.BT, "mc-ladder", samples=200_000, seed=s, threads=1) for s in range(16)]
+    assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(2, "t")]), "total")
+    for letters, reference in TOEPLITZ_K2_WORDS.items():
+        entries = [entry for e in estimates for entry in e.params["per_word"] if entry["word"] == letters]
+        assert len(entries) == len(estimates)
+        assert_honest(z_scores([(entry["value"], entry["std_error"]) for entry in entries], reference), letters, bars=5.0)
 
 
 # --- empirical comparison --------------------------------------------------

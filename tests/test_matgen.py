@@ -13,13 +13,52 @@ from balanced_spectra.matgen import (
     needed_length,
     occurrence_count,
     occurrence_counts,
+    occurrence_draw,
+    occurrence_fraction,
     principal_submatrix,
+    trimmed_interval,
 )
 from balanced_spectra.spectra import trace_power
 
 
 def _seq(values):
     return InputSequence(values=np.asarray(values, dtype=float), dist=Distribution.STANDARD_NORMAL, seed=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_occurrence_draw_inverts_the_factor_cdf(kind, eps):
+    # the midpoint rule on occurrence_fraction itself, over 10^6 cells of the
+    # kept axis: Z is the integral of 1 / occ(y, .), and the draw at u is where
+    # that integral reaches u Z
+    lo, hi = trimmed_interval(kind, eps)
+    edges = np.linspace(lo, hi, 1_000_001)
+    u = np.linspace(0.0, 1.0, 41, endpoint=False)
+    for y in (lo + 1e-3, 0.2, 0.5, 0.7, hi - 1e-3):
+        cells = np.diff(edges) / occurrence_fraction(kind, y, (edges[:-1] + edges[1:]) / 2)
+        mass = np.concatenate([[0.0], np.cumsum(cells)])
+        x, z = occurrence_draw(kind, np.full_like(u, y), u, lo, hi)
+        assert z == pytest.approx(np.full_like(u, mass[-1]), rel=1e-6), y
+        assert x == pytest.approx(np.interp(u * mass[-1], mass, edges), abs=1e-6), y
+        assert np.all((x >= lo) & (x <= hi))
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_occurrence_draw_normalizer_and_its_zeros(kind):
+    # at eps = 0 both patterns have Z(y) = -ln y - ln(1 - y); where y is off the
+    # axis, or occ vanishes at an end of it (y = 0 or 1 at eps = 0), Z is 0 and
+    # the draw still lands on the axis
+    y = np.array([1e-300, 1e-9, 0.3, 0.5, 1.0 - 2.0**-53])
+    _, z = occurrence_draw(kind, y, np.full_like(y, 0.5), 0.0, 1.0)
+    assert z == pytest.approx(-np.log(y) - np.log1p(-y), rel=1e-12)
+    for eps in (0.0, 0.2):
+        lo, hi = trimmed_interval(kind, eps)
+        y = np.array([lo - 0.01, lo, hi, hi + 0.01, -np.inf])
+        with np.errstate(all="raise"):
+            x, z = occurrence_draw(kind, y, np.array([0.0, 0.3, 0.6, 1.0 - 2.0**-53, 0.5]), lo, hi)
+        assert np.all((x >= lo) & (x <= hi))
+        assert np.all(z[[0, 3, 4]] == 0.0) and np.all(np.isfinite(z))
+        assert np.all((z[1:3] > 0.0) == (eps > 0.0))
 
 
 def test_occurrence_corner_entries():
