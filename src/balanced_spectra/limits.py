@@ -30,7 +30,10 @@ x_i, in walk order, from the density proportional to its own factor
 forms (``matgen.occurrence_draw``).  What is left to average, the product of
 the normalizers times the indicator, is at most log-singular, so plain Monte
 Carlo has a CLT error bar at eps = 0 itself (importance sampling: Owen,
-*Monte Carlo theory, methods and examples*, 2013, ch. 9).
+*Monte Carlo theory, methods and examples*, 2013, ch. 9).  Each call of the
+kernel allocates one scratch set sized to a block and reuses it for every
+block, so no block allocates an array and the module keeps no state: calls
+may run side by side in threads.
 """
 
 from __future__ import annotations
@@ -140,10 +143,24 @@ def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray | N
 # exact finite-n oracle
 
 
-def _form(coeffs: np.ndarray, x: list) -> np.ndarray:
+def _form(coeffs: np.ndarray, x: list, out=None) -> np.ndarray:
     """The form sum_c coeffs[c] * x[c], skipping zero coefficients and taking a
-    unit coefficient's coordinate as it is (a one-term form may be it)."""
-    return functools.reduce(np.add, [x[j] if c == 1 else c * x[j] for j, c in enumerate(coeffs) if c])
+    unit coefficient's coordinate as it is (a one-term form may be it).
+
+    ``out``, two rows of the coordinates' shape, holds the same sum, built in
+    out[0] with out[1] holding each non-unit term's product, unless the form
+    is a coordinate itself."""
+    terms = [(x[j], c) for j, c in enumerate(coeffs) if c]
+    if out is None:
+        return functools.reduce(np.add, [v if c == 1 else c * v for v, c in terms])
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    total, product = out
+    (v, c), *rest = terms
+    np.multiply(v, c, out=total)
+    for v, c in rest:
+        np.add(total, v if c == 1 else np.multiply(v, c, out=product), out=total)
+    return total
 
 
 def finite_n_word_moment(word: Word, kind: MatrixKind, n: int, eps: float = 0.0) -> MomentEstimate:
@@ -245,7 +262,8 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 # importance-sampled Monte Carlo
 
 
-def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
+               flags: np.ndarray) -> np.ndarray:
     """Importance weights W / (hi - lo) of one block from its uniforms ``u``,
     shape (k + 1, rows), drawing its coordinates into ``x`` of the same shape.
 
@@ -254,16 +272,24 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     (``matgen.occurrence_draw``), as L_{i-1} reads earlier coordinates only.  W
     is the product of those densities' normalizers Z(L_{i-1}) where every
     dependent form lies in [lo, hi], else 0.
+
+    ``work``, six float64 rows, and ``flags``, two boolean rows, are scratch
+    it overwrites; the weights are returned in work[0].
     """
+    weight, z, form, product, *draw_work = work
     np.multiply(u[0], hi - lo, out=x[0])
     x[0] += lo
-    weight = np.ones(u.shape[1])
+    weight.fill(1.0)
     for row, col in ctx.gen_pairs:
-        x[col], z = occurrence_draw(ctx.link, _form(ctx.coeffs[row], x), u[col], lo, hi)
+        y = _form(ctx.coeffs[row], x, out=(form, product))
+        occurrence_draw(ctx.link, y, u[col], lo, hi, out=(x[col], z, draw_work, flags))
         weight *= z
+    inside, below_hi = flags
     for i in ctx.dependent:
-        form = _form(ctx.coeffs[i], x)
-        weight[(form < lo) | (form > hi)] = 0.0
+        y = _form(ctx.coeffs[i], x, out=(form, product))
+        np.greater_equal(y, lo, out=inside)
+        inside &= np.less_equal(y, hi, out=below_hi)
+        weight *= inside  # W is finite and >= 0, so this is W or 0
     return weight
 
 
@@ -274,9 +300,14 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     deviation over sqrt(batches).
 
     W is at most log-singular, so eps = 0 needs no trim.  Each batch is drawn
-    into one buffer and weighed in blocks of ``_MC_BLOCK`` rows.  The batch
-    means are averaged, not their median taken: W is right-skewed, and the
-    median of skewed means is biased low.
+    and weighed in blocks of ``_MC_BLOCK`` rows: the generator's stream does
+    not depend on how it is cut, so each block's uniforms are the rows that
+    one (rows, k + 1) draw of the whole batch holds there.  The call
+    allocates one scratch set of block rows (uniforms, coordinates,
+    ``_weight_on``'s work and flags) and reuses it for every block of every
+    batch, the last block of a batch taking its leading rows, so no block
+    allocates an array.  The batch means are averaged, not their median
+    taken: W is right-skewed, and the median of skewed means is biased low.
     """
     lo, hi = trimmed_interval(ctx.link, eps)
     if batches < 2:
@@ -284,14 +315,15 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     per_batch = max(1, int(math.ceil(samples / batches)))
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.empty(batches)
-    draw = np.empty((per_batch, ctx.k + 1))
     vals = np.empty(per_batch)
-    block = np.empty((ctx.k + 1, min(per_batch, _MC_BLOCK)))
+    rows = min(per_batch, _MC_BLOCK)
+    draw, x = np.empty((rows, ctx.k + 1)), np.empty((ctx.k + 1, rows))
+    work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
     for b in range(batches):
-        rng.random(out=draw)
         for start in range(0, per_batch, _MC_BLOCK):
-            u = draw[start : start + _MC_BLOCK].T
-            vals[start : start + _MC_BLOCK] = _weight_on(ctx, u, block[:, : u.shape[1]], lo, hi)
+            m = min(_MC_BLOCK, per_batch - start)
+            u = rng.random(out=draw[:m]).T
+            vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
         means[b] = vals.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
@@ -358,13 +390,14 @@ def _plan(k: int, method: str, samples: int, grid: int, methods=LIMIT_METHODS) -
     """Check an order-2k request before any work.
 
     Monte Carlo stops when one batch would exceed ``INTEGRAND_BUDGET``: its
-    ceil(samples / ``BATCHES``) rows hold k + 2 float64 values each (the draw
-    buffer and the weights), and one block of ``_MC_BLOCK`` rows at most
-    k + 17 more per row (coordinates, forms and the draws' temporaries; worst
-    tracemalloc peaks of one ``_mc_truncated`` call over the words, a sample
-    of them at k >= 5, with batches of 1,000 and 50,000 rows, less the k + 2
-    per batch row, were 13.9, 16.0, 18.0, 19.1, 20.1, 21.2, 22.4 float64 per
-    block row at k = 1..7).
+    ceil(samples / ``BATCHES``) weights, one float64 per row, and at most
+    2k + 11 more per row of one block of ``_MC_BLOCK`` rows (the call's
+    scratch: k + 1 rows of uniforms, k + 1 coordinate rows, six work rows and
+    two boolean rows, plus numpy's one-row buffer that casts the
+    dependent-form flags; worst tracemalloc peaks of one ``_mc_truncated``
+    call over the words, a sample of them at k >= 5, with batches of 1,000
+    and 50,000 rows, less the one per batch row, were 10.8, 13.8, 15.8,
+    17.8, 19.9, 22.0, 24.0 float64 per block row at k = 1..7).
     Quadrature stops above ``QUADRATURE_MAX_K``, when one node's slice of the
     grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64 values
     (worst tracemalloc peaks per row over the words at k = 1, 2, 3, with 10^4
@@ -388,7 +421,7 @@ def _plan(k: int, method: str, samples: int, grid: int, methods=LIMIT_METHODS) -
         unit = "node"
     else:
         rows = -(-samples // BATCHES)
-        need, what = 8 * ((k + 2) * rows + (k + 17) * _MC_BLOCK), f"Monte Carlo at k={k} with {samples} samples"
+        need, what = 8 * (rows + (2 * k + 11) * _MC_BLOCK), f"Monte Carlo at k={k} with {samples} samples"
         unit = "batch"
     if need > INTEGRAND_BUDGET:
         raise ResourceLimitError(

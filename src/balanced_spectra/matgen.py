@@ -111,7 +111,7 @@ def occurrence_fraction(kind: MatrixKind, x, y):
     return np.minimum(x + y, 2.0 - x - y)
 
 
-def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float):
+def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float, out=None):
     """Draw x on [lo, hi] with density 1 / (Z occurrence_fraction(kind, y, x))
     at the uniforms u in [0, 1), elementwise; return (x, Z).
 
@@ -120,20 +120,42 @@ def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float):
     A = -ln(c + lo), and the inverse CDF at t = u Z is (c + lo) e^t - c below
     the kink (t <= A) and 2 - c - e^(A - t) above it.  Where y lies outside
     [lo, hi] or occ vanishes at an end of it, Z is 0 (and x some point of
-    [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are arrays.
+    [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are arrays of
+    one shape.
+
+    ``out`` is (x, z, work, flags): x and z of y's shape receive the result,
+    and work (float64) and flags (bool), each two rows of y's shape, are
+    scratch, overwritten before they are read.  None of them may share memory
+    with y or u, which are only read.  Without ``out`` fresh arrays are used;
+    either way every element is the same float.
     """
+    if out is None:
+        shape = np.shape(y)
+        out = np.empty(shape), np.empty(shape), np.empty((2, *shape)), np.empty((2, *shape), dtype=bool)
+    x, z, (flip, a), (bad, below) = out
     # 1 - c is formed without cancellation, so Z stays right for y within an
     # ulp of 0 or 1
-    c, one_minus_c = (y, 1.0 - y) if kind.link is MatrixKind.H else (1.0 - y, y)
-    left, right = c + lo, one_minus_c + (1.0 - hi)  # occ(y, lo) and occ(y, hi)
-    bad = (y < lo) | (y > hi) | (left <= 0.0) | (right <= 0.0)
-    left[bad] = right[bad] = 1.0  # Z = 0
-    a = -np.log(left)
-    z = a - np.log(right)
-    d = u * z - a  # t - A: at most 0 below the kink
-    e = np.exp(-np.abs(d))  # e^(t - A) = (c + lo) e^t below the kink, e^(A - t) above: neither overflows
-    x = np.where(d <= 0.0, e - c, one_minus_c + (1.0 - e))
-    return np.clip(x, lo, hi, out=x), z
+    np.subtract(1.0, y, out=flip)
+    c, one_minus_c = (y, flip) if kind.link is MatrixKind.H else (flip, y)
+    np.add(c, lo, out=a)  # occ(y, lo)
+    np.add(one_minus_c, 1.0 - hi, out=z)  # occ(y, hi)
+    np.less(y, lo, out=bad)
+    bad |= np.greater(y, hi, out=below)
+    bad |= np.less_equal(a, 0.0, out=below)
+    bad |= np.less_equal(z, 0.0, out=below)
+    if bad.any():  # Z = 0 there
+        np.putmask(a, bad, 1.0)
+        np.putmask(z, bad, 1.0)
+    np.negative(np.log(a, out=a), out=a)  # A
+    np.subtract(a, np.log(z, out=z), out=z)  # Z
+    d = np.subtract(np.multiply(u, z, out=x), a, out=a)  # t - A: at most 0 below the kink
+    np.less_equal(d, 0.0, out=below)
+    # e^(t - A) = (c + lo) e^t below the kink, e^(A - t) above: neither overflows
+    e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
+    np.add(one_minus_c, np.subtract(1.0, e, out=x), out=x)  # above the kink
+    np.putmask(x, below, np.subtract(e, c, out=e))  # below it
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x), z
 
 
 def check_matrix_budget(n: int) -> None:

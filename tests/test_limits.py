@@ -374,10 +374,26 @@ def test_monte_carlo_needs_two_batches_for_an_error_bar():
         _mc_truncated(_WordContext(AA, MatrixKind.T), 0.1, 1000, 1, 0)
 
 
+def _reference_draw(kind, y, u, lo, hi):
+    """``matgen.occurrence_draw`` as a fresh-array expression: the inverse CDF
+    that the in-place kernel must reproduce float for float, kept here so the
+    kernel is not checked against itself."""
+    c, one_minus_c = (y, 1.0 - y) if kind.link is MatrixKind.H else (1.0 - y, y)
+    left, right = c + lo, one_minus_c + (1.0 - hi)
+    bad = (y < lo) | (y > hi) | (left <= 0.0) | (right <= 0.0)
+    left[bad] = right[bad] = 1.0
+    a = -np.log(left)
+    z = a - np.log(right)
+    d = u * z - a
+    e = np.exp(-np.abs(d))
+    x = np.where(d <= 0.0, e - c, one_minus_c + (1.0 - e))
+    return np.clip(x, lo, hi, out=x), z
+
+
 def _reference_mc(ctx, eps, samples, batches, seed):
     """The importance-sampled estimate on whole batches: ``rng.random`` draws
     of the batch's shape, each form summed over all its columns, each
-    coordinate drawn by ``occurrence_draw`` over the whole batch, and the mean
+    coordinate drawn by ``_reference_draw`` over the whole batch, and the mean
     of the batch means."""
     lo, hi = trimmed_interval(ctx.link, eps)
     per_batch = max(1, math.ceil(samples / batches))
@@ -389,7 +405,7 @@ def _reference_mc(ctx, eps, samples, batches, seed):
         x[0] = lo + (hi - lo) * u[0]
         weight = np.ones(per_batch)
         for row, col in ctx.gen_pairs:
-            x[col], z = occurrence_draw(ctx.link, sum(c * x[j] for j, c in enumerate(ctx.coeffs[row])), u[col], lo, hi)
+            x[col], z = _reference_draw(ctx.link, sum(c * x[j] for j, c in enumerate(ctx.coeffs[row])), u[col], lo, hi)
             weight *= z
         for i in ctx.dependent:
             form = sum(c * x[j] for j, c in enumerate(ctx.coeffs[i]))
@@ -400,10 +416,11 @@ def _reference_mc(ctx, eps, samples, batches, seed):
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
 def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
-    # the blocked kernel draws into one buffer, weighs it in blocks of
-    # _MC_BLOCK rows, sums each form left to right over its nonzero terms and
-    # takes one mean per batch: the same floats as whole batches, not close
-    # ones.  Batches of 1 and 2 rows, one block, one block + 1 and a ragged tail
+    # the blocked kernel draws and weighs each batch in blocks of _MC_BLOCK
+    # rows, in place in one scratch set, sums each form left to right over its
+    # nonzero terms and takes one mean per batch: the same floats as whole
+    # batches, not close ones.  Batches of 1 and 2 rows, one block, one
+    # block + 1 and a ragged tail
     block = limits_module._MC_BLOCK
     for k in (1, 2, 3):
         for word in enumerate_pair_matched_words(k):
@@ -411,6 +428,38 @@ def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
             for eps, rows in itertools.product((0.0, 0.1), (1, 2, block, block + 1, 2 * block + 3)):
                 seed = 7 * rows + k
                 assert _mc_truncated(ctx, eps, 2 * rows - 1, 2, seed) == _reference_mc(ctx, eps, 2 * rows - 1, 2, seed)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_in_place_draw_leaves_no_stale_scratch(kind, eps):
+    # the Monte Carlo kernel reuses one scratch set for every block.  A block
+    # with rows off the axis or at a vanishing end (Z = 0), then a clean block
+    # shorter than the scratch (a ragged tail), each drawn with y a row of the
+    # coordinate block, must give what the fresh-array calls and the reference
+    # give, and leave y and u as they were
+    lo, hi = trimmed_interval(kind, eps)
+    rng = np.random.default_rng(11)
+    rows = 60
+    coords, z = np.full((2, rows), np.nan), np.full(rows, np.nan)
+    work, flags = np.full((2, rows), np.nan), np.zeros((2, rows), dtype=bool)
+    off = np.resize([lo - 0.01, hi + 0.01, lo, hi, -np.inf], rows)  # lo and hi vanish at eps = 0
+    first = np.where(np.arange(rows) % 3 == 0, off, lo + (hi - lo) * rng.random(rows))
+    zeros = []
+    for values in (first, lo + (hi - lo) * rng.random(rows - 17)):
+        m = values.size
+        coords[0, :m] = values
+        y, u = coords[0, :m], rng.random(m)
+        y_before, u_before = y.copy(), u.copy()
+        with np.errstate(all="raise"):
+            x, zs = occurrence_draw(kind, y, u, lo, hi, out=(coords[1, :m], z[:m], work[:, :m], flags[:, :m]))
+        assert np.array_equal(y, y_before) and np.array_equal(u, u_before)
+        fresh, reference = occurrence_draw(kind, y.copy(), u.copy(), lo, hi), _reference_draw(kind, y.copy(), u, lo, hi)
+        for want in (fresh, reference):
+            assert np.array_equal(x, want[0]) and np.array_equal(zs, want[1])
+        assert np.shares_memory(x, coords) and np.shares_memory(zs, z)
+        zeros.append(np.count_nonzero(zs == 0.0))
+    assert zeros[0] >= rows // 5 and zeros[1] == 0
 
 
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
@@ -422,11 +471,12 @@ def test_weights_stay_finite_at_the_extreme_uniforms(kind):
     lo, hi = trimmed_interval(kind, 0.0)
     for k in (1, 2, 3):
         u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53), repeat=k + 1))).T
+        rows = u.shape[1]
         for word in enumerate_pair_matched_words(k):
             x = np.full_like(u, np.nan)
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                weight = _weight_on(_WordContext(word, kind), u, x, lo, hi)
+                weight = _weight_on(_WordContext(word, kind), u, x, lo, hi, np.empty((6, rows)), np.empty((2, rows), bool))
             assert np.all((x >= lo) & (x <= hi)), word
             assert np.all(np.isfinite(weight) & (weight >= 0.0)), word
             assert np.any(weight > 0.0), word
@@ -449,9 +499,9 @@ def test_monte_carlo_budget_guard(monkeypatch):
         limit_moment(2, MatrixKind.BT, samples=huge, threads=1)
     with pytest.raises(ResourceLimitError, match="GiB per batch"):
         compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, samples=huge)
-    # the edge at k = 1: 3 float64 per row of a batch and 18 per row of one
+    # the edge at k = 1: 1 float64 per row of a batch and 13 per row of one
     # block, 2^30 bytes in all
-    per_batch = (limits_module.INTEGRAND_BUDGET // 8 - 18 * limits_module._MC_BLOCK) // 3
+    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK
     limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch, limits_module.DEFAULT_GRID)
     with pytest.raises(ResourceLimitError):
         limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1, limits_module.DEFAULT_GRID)
@@ -461,8 +511,8 @@ def test_monte_carlo_budget_guard(monkeypatch):
 
 
 def test_monte_carlo_guard_bounds_the_peak():
-    # one call's tracemalloc peak against k + 2 float64 per row of a batch and
-    # k + 17 per row of one block, no longer than the batch (_plan counts a
+    # one call's tracemalloc peak against 1 float64 per row of a batch and
+    # 2k + 11 per row of one block, no longer than the batch (_plan counts a
     # whole block), at a batch below one block and at one of several; the
     # words differ in how many forms and draws they make, so every word up to
     # k = 3 and a fifth of those at k = 4
@@ -477,7 +527,7 @@ def test_monte_carlo_guard_bounds_the_peak():
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * ((k + 2) * rows + (k + 17) * block), (kind, rows, word, peak / 8)
+            assert peak <= 8 * (rows + (2 * k + 11) * block), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
