@@ -12,8 +12,8 @@ from types import ModuleType as _ModuleType
 
 # Idle OpenBLAS threads spin for about 2^28 cycles after each call; with solves
 # in two forked workers on two cores, one worker's spinning threads starve the
-# other.  2^4 cycles lets them sleep at once.  The eigensolves and quadrature's
-# weighted sums need this; the Monte Carlo integrands make no BLAS call.
+# other.  2^4 cycles lets them sleep at once.  Only the eigensolves need this:
+# the weight kernel of both limit methods makes no BLAS call.
 # OpenBLAS reads the variable when numpy first loads, so it is set before any
 # numpy import; a user value wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")

@@ -28,8 +28,7 @@ from . import __version__
 from .errors import BalancedSpectraError, InvalidArgumentError, UsageError
 from .inputs import Distribution
 from .limits import (
-    COMPARE_SAMPLES, DEFAULT_GRID, DEFAULT_SAMPLES, LIMIT_METHODS, MIN_GRID, ComparisonRow, compare_empirical_limit,
-    limit_moment,
+    COMPARE_SAMPLES, DEFAULT_SAMPLES, LIMIT_METHODS, ComparisonRow, compare_empirical_limit, limit_moment,
 )
 from .matgen import MatrixKind
 from .persist import atomic_write_text, write_csv, write_json
@@ -126,7 +125,7 @@ class Moments(_Balanced):
     dist: str = _key("normal", "input law: normal, rademacher, uniform", parse=Distribution.parse)
     k_max: int = _key(2, "compare orders 1..2*k_max", low=1)
     method: str = _key("mc-ladder", "limit method", choices=LIMIT_METHODS)
-    samples: int = _key(COMPARE_SAMPLES, "Monte Carlo samples per word", low=1)
+    samples: int = _key(COMPARE_SAMPLES, "points per word", low=1)
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,7 @@ class Limit(_Balanced):
     seed: int = _key(7, "master seed (64-bit)")
     k: int = _key(1, "half-order: computes the order-2k moment", low=1)
     method: str = _key("mc-ladder", "limit method", choices=LIMIT_METHODS)
-    samples: int = _key(DEFAULT_SAMPLES, "Monte Carlo samples per word", low=1)
-    grid: int = _key(DEFAULT_GRID, "quadrature cells per axis", low=MIN_GRID)
+    samples: int = _key(DEFAULT_SAMPLES, "points per word", low=1)
 
 
 @dataclass(frozen=True)
@@ -331,9 +329,7 @@ def cmd_moments(cfg: Moments) -> int:
 def cmd_limit(cfg: Limit) -> int:
     kind = MatrixKind.parse(cfg.kind)
     t0 = time.perf_counter()
-    estimate = limit_moment(
-        cfg.k, kind, cfg.method, samples=cfg.samples, seed=cfg.seed, grid=cfg.grid, threads=cfg.threads,
-    )
+    estimate = limit_moment(cfg.k, kind, cfg.method, samples=cfg.samples, seed=cfg.seed, threads=cfg.threads)
     elapsed = time.perf_counter() - t0
     payload = {
         "kind": kind.link.value, "k": cfg.k, "order": 2 * cfg.k, "method": estimate.method.value,

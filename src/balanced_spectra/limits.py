@@ -18,22 +18,24 @@ Three evaluation routes are provided and cross-checked against each other:
   solved for one coordinate where it does not hold identically, once per
   rotation/reflection class of words), the finite-size oracle.
 * ``truncated_word_moment`` -- the integral restricted to an eps-trimmed box
-  where the integrand is bounded by eps^-k, via importance-sampled Monte
-  Carlo or graded-mesh quadrature.
-* ``limit_word_moment`` -- the eps = 0 value, either by the same Monte Carlo
-  on the untrimmed box (method ``mc-ladder``) or by graded-mesh tensor
-  quadrature refined toward the singular faces.
+  where the integrand is bounded by eps^-k.
+* ``limit_word_moment`` -- the eps = 0 value.
 
-The Monte Carlo draws x_0 uniformly and each later generating coordinate
-x_i, in walk order, from the density proportional to its own factor
-1 / occ(L_{i-1}, x_i), whose normalizer Z(L_{i-1}) and inverse CDF are closed
-forms (``matgen.occurrence_draw``).  What is left to average, the product of
-the normalizers times the indicator, is at most log-singular, so plain Monte
-Carlo has a CLT error bar at eps = 0 itself (importance sampling: Owen,
-*Monte Carlo theory, methods and examples*, 2013, ch. 9).  Each call of the
-kernel allocates one scratch set sized to a block and reuses it for every
-block, so no block allocates an array and the module keeps no state: calls
-may run side by side in threads.
+Both integrate one importance weight with one kernel.  x_0 is uniform and
+each later generating coordinate x_i, in walk order, is drawn from the
+density proportional to its own factor 1 / occ(L_{i-1}, x_i), whose
+normalizer Z(L_{i-1}) and inverse CDF are closed forms
+(``matgen.occurrence_draw``).  What is left to average, the product of the
+normalizers times the indicator, is at most log-singular, so it has a finite
+variance at eps = 0 itself (importance sampling: Owen, *Monte Carlo theory,
+methods and examples*, 2013, ch. 9).  The uniforms behind the draws are the
+generator's stream (Monte Carlo: method ``mc-ladder``, or ``mc`` on a
+trimmed box) or the points of a randomly shifted rank-1 lattice (method
+``quadrature``: Sloan & Joe, *Lattice Methods for Multiple Integration*,
+1994), one random shift per batch.  Each call of the kernel allocates one
+scratch set sized to a block and reuses it for every block, so no block
+allocates an array, and the module keeps no state but its cache of lattice
+vectors: calls may run side by side in threads.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 from .experiments import simulate_spectra
 from .inputs import Distribution, derive_seed
 from .matgen import (
-    MatrixKind, occurrence_counts, occurrence_draw, occurrence_fraction, submatrix_window, trimmed_interval,
+    MatrixKind, occurrence_counts, occurrence_draw, submatrix_window, trimmed_interval,
 )
 from .parallel import parallel_map
 from .spectra import moment
@@ -60,17 +62,14 @@ from .words import (
 )
 
 DEFAULT_SAMPLES = 2_000_000
-DEFAULT_GRID = 64
-COMPARE_SAMPLES = 200_000  # Monte Carlo samples per word of compare_empirical_limit's limits
-BATCHES = 16  # batches per Monte Carlo estimate, whose spread gives its error bar
-GRADING = 0.7  # geometric cell ratio of the quadrature mesh
+COMPARE_SAMPLES = 200_000  # points per word of compare_empirical_limit's limits
+BATCHES = 16  # batches (lattice shifts) per estimate, whose spread gives its error bar
+LATTICE_WEIGHT = 0.5  # product weights gamma_j = 0.5^j of the lattice construction's coordinates
 TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
 TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
 LIMIT_METHODS = ("mc-ladder", "quadrature")
-QUADRATURE_MAX_K = 3
-MIN_GRID = 4  # the error bar's coarse mesh, grid // 2 cells, needs at least 2
-INTEGRAND_BUDGET = 2**30  # bytes: the working set of one quadrature node's slice or one Monte Carlo batch
-QUADRATURE_ROW_FLOATS = 8  # float64 values per row of that slice, an upper bound on its peak
+INTEGRAND_BUDGET = 2**30  # bytes: the working set of one batch
+LATTICE_POINT_FLOATS = 13  # float64 values per lattice point, an upper bound on the construction's peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
 _MC_BLOCK = 1 << 13  # rows per Monte Carlo block: its coordinates and forms stay in L2
@@ -113,24 +112,23 @@ class _WordContext:
         self.k = word.k
 
 
-def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray | None = None) -> np.ndarray:
-    """Indicator-masked integrand on one block: 1 / prod occ(L_{i-1}, x_i) over
-    the generating positions i > 0, left to right, where every dependent form
-    lies in [lo, hi], else 0.
+def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray) -> np.ndarray:
+    """Indicator-masked integrand on one block of the oracle: 1 / prod
+    occ(L_{i-1}, x_i) over the generating positions i > 0, left to right, where
+    every dependent form lies in [lo, hi], else 0.
 
     ``forms[i]`` holds L_i for the rows in ``ctx.needed`` and ``x[c]``
     coordinate c, all broadcasting to the block's shape; ``occ`` is the
-    occurrence rule, a limiting fraction or a count over n.  ``mask``, a
-    boolean array of the block's shape, is ANDed in place with the window test,
-    so the caller can read which rows counted.
+    occurrence rule, a count over n.  ``mask``, a boolean array of the block's
+    shape, is ANDed in place with the window test, so the caller can read which
+    rows counted.
     """
-    shape = np.broadcast_shapes(*map(np.shape, x))
-    mask = np.ones(shape, dtype=bool) if mask is None else mask
+    shape = mask.shape
     for i in ctx.dependent:
         mask &= (forms[i] >= lo) & (forms[i] <= hi)
     (row, col), *rest = ctx.gen_pairs
     denom = occ(forms[row], x[col])  # occ returns a fresh array, so the product can start in it
-    if np.shape(denom) != shape:  # a partial broadcast of an open mesh
+    if np.shape(denom) != shape:  # a partial broadcast of the index axes
         denom = np.broadcast_to(denom, shape).copy()
     for row, col in rest:
         denom *= occ(forms[row], x[col])
@@ -259,7 +257,7 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 
 
 # ---------------------------------------------------------------------------
-# importance-sampled Monte Carlo
+# the importance weight on Monte Carlo or lattice points
 
 
 def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
@@ -293,149 +291,156 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     return weight
 
 
-def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int) -> tuple[float, float]:
-    """Importance-sampled Monte Carlo of the word integral on [lo, hi]^(k+1),
-    the trimmed box of ``eps`` in [0, 1): the mean of ``batches`` batch means
-    of the weight W (``_weight_on`` times hi - lo), and their standard
-    deviation over sqrt(batches).
+def _lattice_size(samples: int, batches: int) -> int:
+    """Points per shift of the lattice rule: the smallest odd prime >= ceil(samples / batches)."""
+    n = max(3, -(-samples // batches)) | 1
+    while any(n % p == 0 for p in range(3, math.isqrt(n) + 1, 2)):
+        n += 2
+    return n
 
-    W is at most log-singular, so eps = 0 needs no trim.  Each batch is drawn
-    and weighed in blocks of ``_MC_BLOCK`` rows: the generator's stream does
-    not depend on how it is cut, so each block's uniforms are the rows that
-    one (rows, k + 1) draw of the whole batch holds there.  The call
-    allocates one scratch set of block rows (uniforms, coordinates,
-    ``_weight_on``'s work and flags) and reuses it for every block of every
-    batch, the last block of a batch taking its leading rows, so no block
-    allocates an array.  The batch means are averaged, not their median
-    taken: W is right-skewed, and the median of skewed means is biased low.
+
+@functools.lru_cache(maxsize=32)
+def _lattice(n: int, dim: int) -> np.ndarray:
+    """Read-only generating vector z, z[0] = 1, of an n-point rank-1 lattice
+    rule in ``dim`` dimensions, n an odd prime, by the fast component-by-
+    component construction (Nuyens & Cools, Math. Comp. 75, 2006): each unit
+    z[j] minimizes the shift-averaged worst-case error for the kernel
+    prod_j (1 + gamma_j B2({x_j})), B2(x) = x^2 - x + 1/6 and gamma_j =
+    ``LATTICE_WEIGHT``^j, over the units in the order g^t of a primitive root
+    g, up to sign as B2 is symmetric, in one FFT correlation per coordinate."""
+    divisors = {d for p in range(2, math.isqrt(n) + 1) if (n - 1) % p == 0 for d in (p, (n - 1) // p)}
+    g = next(g for g in range(2, n) if all(pow(g, (n - 1) // d, n) != 1 for d in divisors))
+    half = (n - 1) // 2
+    perm = np.ones(half, dtype=np.int64)  # g^t mod n, the table doubled in place
+    done = 1
+    while done < half:
+        step = min(done, half - done)
+        np.remainder(perm[:step] * pow(g, done, n), n, out=perm[done : done + step])
+        done += step
+    np.minimum(perm, n - perm, out=perm)
+    psi = perm / n
+    psi *= psi - 1.0
+    psi += 1.0 / 6.0
+    # B2 repeated twice, zero-padded to a power of two, so the lags below half do not wrap
+    size = 1 << (2 * half - 1).bit_length()
+    spectrum = np.fft.rfft(np.concatenate([psi, psi]), size)
+    z, product, w = np.ones(dim, dtype=np.int64), np.ones(half), 0
+    for j in range(1, dim):
+        product *= 1.0 + LATTICE_WEIGHT**j * np.roll(psi, -w)  # B2({g^(t + w) / n}): z[j - 1] = perm[w]
+        correlation = np.fft.rfft(product, size)
+        np.conjugate(correlation, out=correlation)
+        correlation *= spectrum
+        w = int(np.argmin(np.fft.irfft(correlation, size)[:half]))
+        z[j] = perm[w]
+    z.flags.writeable = False
+    return z
+
+
+def _lattice_blocks(n: int, shifts: np.ndarray):
+    """The block source of ``_mc_truncated``'s lattice: (b, start, m) -> the
+    points frac(i z / n + shifts[b]), rows i = start .. start + m - 1, as one
+    base row frac(r z / n), r < m, plus the block's offset, in one buffer."""
+    z = _lattice(n, shifts.shape[1])
+    base = np.multiply.outer(z, np.arange(min(n, _MC_BLOCK))) % n / n
+    offsets = np.multiply.outer(np.arange(0, n, _MC_BLOCK), z) % n / n + shifts[:, None, :]
+    offsets %= 1.0  # (batch, block, coordinate)
+    points, wrap = np.empty_like(base), np.empty(base.shape[1], dtype=bool)
+
+    def uniforms(b: int, start: int, m: int) -> np.ndarray:
+        np.add(base[:, :m], offsets[b, start // _MC_BLOCK, :, None], out=points[:, :m])
+        for row in points[:, :m]:
+            row -= np.greater_equal(row, 1.0, out=wrap[:m])  # frac of a sum in [0, 2)
+        return points[:, :m]
+
+    return uniforms
+
+
+def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int,
+                  lattice: bool = False) -> tuple[float, float]:
+    """Importance-sampled estimate of the word integral on [lo, hi]^(k+1), the
+    trimmed box of ``eps`` in [0, 1): the mean of ``batches`` batch means of
+    the weight W (``_weight_on`` times hi - lo), and their standard deviation
+    over sqrt(batches).
+
+    W is at most log-singular, so eps = 0 needs no trim.  A Monte Carlo batch
+    is ceil(samples / batches) rows of the seed's stream, drawn in blocks of
+    ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  With
+    ``lattice`` a batch is the ``_lattice_size`` points of the rank-1 lattice
+    under one uniform shift drawn from that stream, whose mean is unbiased
+    too.  The call allocates one scratch set of block rows and reuses it for
+    every block, so no block allocates an array.  The batch means are
+    averaged, not their median taken: W is right-skewed, and the median of
+    skewed means is biased low.
     """
     lo, hi = trimmed_interval(ctx.link, eps)
     if batches < 2:
         raise InvalidArgumentError(f"batches must be >= 2 for a standard error, got {batches}")
-    per_batch = max(1, int(math.ceil(samples / batches)))
     rng = np.random.Generator(np.random.PCG64(seed))
+    if lattice:
+        per_batch = _lattice_size(samples, batches)
+        uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
+    else:
+        per_batch = max(1, int(math.ceil(samples / batches)))
+        draw = np.empty((min(per_batch, _MC_BLOCK), ctx.k + 1))
+
+        def uniforms(b: int, start: int, m: int) -> np.ndarray:
+            return rng.random(out=draw[:m]).T
+
     means = np.empty(batches)
     vals = np.empty(per_batch)
     rows = min(per_batch, _MC_BLOCK)
-    draw, x = np.empty((rows, ctx.k + 1)), np.empty((ctx.k + 1, rows))
+    x = np.empty((ctx.k + 1, rows))
     work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
     for b in range(batches):
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
-            u = rng.random(out=draw[:m]).T
+            u = uniforms(b, start, m)
             vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
         means[b] = vals.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
 # ---------------------------------------------------------------------------
-# graded-mesh tensor quadrature
-
-
-def _graded_axis(cells: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point Gauss nodes/weights, ascending, on a mesh graded toward both
-    endpoints (an odd cell count is rounded up)."""
-    half = (cells + 1) // 2
-    w = GRADING ** np.arange(half - 1, -1, -1, dtype=np.float64)
-    w = w / (2.0 * w.sum())
-    widths = np.concatenate([w, w[::-1]])
-    edges = np.concatenate([[0.0], np.cumsum(widths)])
-    edges[-1] = 1.0
-    h = np.diff(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    off = h / (2.0 * math.sqrt(3.0))
-    nodes = np.column_stack([centers - off, centers + off]).ravel()
-    span = hi - lo
-    return lo + span * nodes, span * np.repeat(0.5 * h, 2)
-
-
-def _mesh_is_normal(grid: int, k: int) -> bool:
-    """Whether a product of k occurrence fractions on the unit mesh of ``grid``
-    cells stays a normal float64, so that its reciprocal, the integrand, is
-    finite.  The smallest fraction is x + y at the two lowest nodes, the
-    Gauss points of the outermost cell as ``_graded_axis`` places them."""
-    half = (grid + 1) // 2
-    cell = GRADING ** (half - 1) * (1.0 - GRADING) / (2.0 * (1.0 - GRADING**half))
-    return (cell * (1.0 - 1.0 / math.sqrt(3.0))) ** k >= np.finfo(np.float64).tiny
-
-
-def _quadrature_value(ctx: _WordContext, eps: float, grid: int) -> float:
-    lo, hi = trimmed_interval(ctx.link, eps)
-    nodes, weights = _graded_axis(grid, lo, hi)
-    # each first-axis node meets an open mesh of the other k axes, on which the
-    # forms are summed by broadcasting, as the oracle sums its index axes
-    rest = np.ix_(*[nodes] * ctx.k)
-    rest_w = functools.reduce(np.multiply.outer, [weights] * ctx.k).ravel()
-    occ = functools.partial(occurrence_fraction, ctx.link)
-    total = 0.0
-    for x0, w0 in zip(nodes, weights):
-        x = [x0, *rest]
-        forms = {i: _form(ctx.coeffs[i], x) for i in ctx.needed}
-        total += w0 * float(np.dot(rest_w, _integrand_on(ctx, forms, x, lo, hi, occ).ravel()))
-    return total
-
-
-def _quadrature_estimate(ctx: _WordContext, eps: float, grid: int) -> tuple[float, float]:
-    """Quadrature value on ``grid`` cells, with |fine - coarse| (half grid) as its error."""
-    value = _quadrature_value(ctx, eps, grid)
-    coarse = _quadrature_value(ctx, eps, grid // 2)
-    return value, abs(value - coarse)
-
-
-# ---------------------------------------------------------------------------
 # public per-word estimates
 
 
-def _plan(k: int, method: str, samples: int, grid: int, methods=LIMIT_METHODS) -> None:
+def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
     """Check an order-2k request before any work.
 
-    Monte Carlo stops when one batch would exceed ``INTEGRAND_BUDGET``: its
-    ceil(samples / ``BATCHES``) weights, one float64 per row, and at most
-    2k + 11 more per row of one block of ``_MC_BLOCK`` rows (the call's
-    scratch: k + 1 rows of uniforms, k + 1 coordinate rows, six work rows and
-    two boolean rows, plus numpy's one-row buffer that casts the
-    dependent-form flags; worst tracemalloc peaks of one ``_mc_truncated``
-    call over the words, a sample of them at k >= 5, with batches of 1,000
-    and 50,000 rows, less the one per batch row, were 10.8, 13.8, 15.8,
-    17.8, 19.9, 22.0, 24.0 float64 per block row at k = 1..7).
-    Quadrature stops above ``QUADRATURE_MAX_K``, when one node's slice of the
-    grid, (2 cells)^k rows of at most ``QUADRATURE_ROW_FLOATS`` float64 values
-    (worst tracemalloc peaks per row over the words at k = 1, 2, 3, with 10^4
-    rows or more per slice: 6.8, 5.9, 5.4 Toeplitz; 6.8, 6.9, 6.5 Hankel),
-    would exceed the same budget, and at a grid so fine that the mesh's
-    outermost cells leave the normal float64 range (above 3958 at k = 1 and
-    1972 at k = 2), where the Hankel integrand overflows and the value reads
-    NaN.
+    Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
+    Monte Carlo batch needs its ceil(samples / ``BATCHES``) weights, one
+    float64 per row, and at most 2k + 11 more per row of one block of
+    ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms, k + 1
+    coordinate rows, six work rows and two boolean rows, plus numpy's one-row
+    buffer that casts the dependent-form flags; worst tracemalloc peaks of one
+    ``_mc_truncated`` call over the words, a sample of them at k >= 5, with
+    batches of 1,000 and 50,000 rows, less the one per batch row, were 10.8,
+    13.8, 15.8, 17.8, 19.9, 22.0, 24.0 float64 per block row at k = 1..7).  A
+    lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its n =
+    ``_lattice_size`` points for the construction of its vector, freed before
+    the weights are made (peak resident set 7.7 float64 per point at n =
+    125,003, 12.0 at 4,194,319 where the FFT length doubles; tracemalloc,
+    blind to the FFT's own buffers, saw 4.7 and 7.5), and 3k + 12 per block
+    row, the base row adding k + 1 (peaks 13.4, 22.5, 31.5 at k = 1, 4, 7).
+    n^2 < 2^63 keeps the products of two residues mod n in int64.
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
-    if grid < MIN_GRID:
-        raise InvalidArgumentError(f"grid must be >= {MIN_GRID}, got {grid}")
+    rows, per_row, per_block, what = -(-samples // BATCHES), 1, 2 * k + 11, "Monte Carlo"
     if method == "quadrature":
-        if k > QUADRATURE_MAX_K:
-            raise ResourceLimitError(f"quadrature supports k <= {QUADRATURE_MAX_K}, got k={k}")
-        cells = grid + grid % 2  # as _graded_axis rounds it
-        need, what = 8 * QUADRATURE_ROW_FLOATS * (2 * cells) ** k, f"quadrature at k={k}, grid={grid}"
-        unit = "node"
-    else:
-        rows = -(-samples // BATCHES)
-        need, what = 8 * (rows + (2 * k + 11) * _MC_BLOCK), f"Monte Carlo at k={k} with {samples} samples"
-        unit = "batch"
+        per_row, per_block, what = LATTICE_POINT_FLOATS, 3 * k + 12, "quadrature"
+        if 8 * per_row * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit
+            rows = _lattice_size(samples, BATCHES)
+    need = 8 * (per_row * rows + per_block * _MC_BLOCK)
     if need > INTEGRAND_BUDGET:
         raise ResourceLimitError(
-            f"{what} needs about {need / 2**30:.3g} GiB per {unit}, over the {INTEGRAND_BUDGET / 2**30:g} GiB budget"
+            f"{what} at k={k} with {samples} samples needs about {need / 2**30:.3g} GiB per batch, "
+            f"over the {INTEGRAND_BUDGET / 2**30:g} GiB budget"
         )
-    if method == "quadrature" and not _mesh_is_normal(grid, k):
-        finest, refused = MIN_GRID, grid  # bisect for the finest admitted grid
-        while refused - finest > 1:
-            mid = (finest + refused) // 2
-            finest, refused = (mid, refused) if _mesh_is_normal(mid, k) else (finest, mid)
-        raise InvalidArgumentError(
-            f"grid must be <= {finest} for quadrature at k={k}, where the graded mesh's outermost cells "
-            f"stay normal float64 numbers, got {grid}"
-        )
+    if method == "quadrature" and rows * rows >= 2**63:
+        raise ResourceLimitError(f"a lattice of {rows} points overflows int64 products of its residues")
 
 
 def _analytic_zero(kind: MatrixKind, word: Word | None = None, order: int | None = None) -> MomentEstimate | None:
@@ -457,30 +462,23 @@ def truncated_word_moment(
     *,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    grid: int = DEFAULT_GRID,
 ) -> MomentEstimate:
     """Word contribution to the eps-trimmed moment (bounded integrand).
 
     On the trimmed box every occurrence fraction is at least eps, so the
-    integrand is bounded by eps^-k; ``mc`` is the importance-sampled Monte
-    Carlo of ``limit_word_moment``, which also covers eps = 0.
+    integrand is bounded by eps^-k; ``mc`` and ``quadrature`` are the two
+    point sets of ``limit_word_moment``, whose kernel also covers eps = 0.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidArgumentError("eps must lie in (0, 1)")
-    _plan(word.k, method, samples, grid, methods=("mc", "quadrature"))
+    _plan(word.k, method, samples, methods=("mc", "quadrature"))
     if (zero := _analytic_zero(kind, word)) is not None:
         return zero
     ctx = _WordContext(word, kind)
-    if method == "mc":
-        value, se = _mc_truncated(ctx, eps, samples, BATCHES, seed)
-        params = {"samples": samples, "batches": BATCHES, "seed": seed}
-    else:
-        value, se = _quadrature_estimate(ctx, eps, grid)
-        params = {"grid": grid, "grading": GRADING}
+    value, se = _mc_truncated(ctx, eps, samples, BATCHES, seed, lattice=method == "quadrature")
+    params = {"kind": ctx.link.value, "eps": eps, "samples": samples, "batches": BATCHES, "seed": seed}
     method = Method.MC_LADDER if method == "mc" else Method.QUADRATURE
-    return MomentEstimate(
-        value=value, std_error=se, method=method, params={"kind": ctx.link.value, "eps": eps, **params}, word=word
-    )
+    return MomentEstimate(value=value, std_error=se, method=method, params=params, word=word)
 
 
 def limit_word_moment(
@@ -490,24 +488,18 @@ def limit_word_moment(
     *,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    grid: int = DEFAULT_GRID,
 ) -> MomentEstimate:
-    """Word contribution to the limiting moment (eps = 0): ``mc-ladder`` is one
-    importance-sampled Monte Carlo estimate of ``samples`` draws, ``quadrature``
-    the graded mesh of ``grid`` cells per axis."""
-    _plan(word.k, method, samples, grid)
+    """Word contribution to the limiting moment (eps = 0): the mean of
+    ``BATCHES`` batch means of the importance weight on ``samples`` points in
+    all, Monte Carlo draws for ``mc-ladder`` and, for ``quadrature``, a rank-1
+    lattice under one random shift per batch."""
+    _plan(word.k, method, samples)
     if (zero := _analytic_zero(kind, word)) is not None:
         return zero
     ctx = _WordContext(word, kind)
-    if method == "quadrature":
-        value, se = _quadrature_estimate(ctx, 0.0, grid)
-        params = {"grid": grid, "grading": GRADING}
-    else:
-        value, se = _mc_truncated(ctx, 0.0, samples, BATCHES, seed)
-        params = {"samples": samples, "batches": BATCHES, "seed": seed}
-    return MomentEstimate(
-        value=value, std_error=se, method=Method(method), params={"kind": ctx.link.value, **params}, word=word
-    )
+    value, se = _mc_truncated(ctx, 0.0, samples, BATCHES, seed, lattice=method == "quadrature")
+    params = {"kind": ctx.link.value, "samples": samples, "batches": BATCHES, "seed": seed}
+    return MomentEstimate(value=value, std_error=se, method=Method(method), params=params, word=word)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +507,9 @@ def limit_word_moment(
 
 
 def _word_estimate(
-    words: list[Word], kind: MatrixKind, method: str, samples: int, seed: int, grid: int, i: int,
+    words: list[Word], kind: MatrixKind, method: str, samples: int, seed: int, i: int,
 ) -> MomentEstimate:
-    return limit_word_moment(words[i], kind, method, samples=samples, seed=derive_seed(seed, i), grid=grid)
+    return limit_word_moment(words[i], kind, method, samples=samples, seed=derive_seed(seed, i))
 
 
 def limit_moment(
@@ -527,20 +519,19 @@ def limit_moment(
     *,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    grid: int = DEFAULT_GRID,
     threads: int | None = 1,
 ) -> MomentEstimate:
     """Order-2k limiting moment: sum of word contributions with error bars.
 
     The per-word breakdown is recorded in ``params['per_word']``.  Words are
-    independent tasks with derived seeds (``samples`` draws each for
-    ``mc-ladder``), so the result does not depend on ``threads``.
+    independent tasks with derived seeds (``samples`` points each), so the
+    result does not depend on ``threads``.
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    _plan(k, method, samples, grid)
+    _plan(k, method, samples)
     words = enumerate_pair_matched_words(k)
-    estimate = functools.partial(_word_estimate, words, kind, method, samples, seed, grid)
+    estimate = functools.partial(_word_estimate, words, kind, method, samples, seed)
     estimates = parallel_map(estimate, range(len(words)), workers=threads)
     value = sum(e.value for e in estimates)
     se = math.sqrt(sum(e.std_error**2 for e in estimates))
@@ -557,9 +548,6 @@ def limit_moment(
         "samples": samples,
         "seed": seed,
     }
-    if method == "quadrature":
-        params["grid"] = grid
-        params["grading"] = GRADING
     return MomentEstimate(
         value=value,
         std_error=se,
@@ -646,7 +634,7 @@ def compare_empirical_limit(
         raise InvalidArgumentError("empirical-vs-limit comparison targets balanced kinds (bt, bh)")
     if reps < 2:
         raise InvalidArgumentError("need reps >= 2 for standard errors")
-    _plan(k_max, method, samples, DEFAULT_GRID)
+    _plan(k_max, method, samples)
     if k_max > MAX_K:
         raise ResourceLimitError(f"orders up to {2 * k_max} need words of k={k_max}, over the enumeration cap {MAX_K}")
     spectra = simulate_spectra(kind, dist, n, reps, seed, threads=threads)

@@ -173,8 +173,8 @@ def suite_limits() -> list[CheckResult]:
         _check(out, "limits", f"finite-n aa exact ({kind.value})", abs(v - 113 / 57) < 1e-12, f"{v:.12f}")
     eps = 0.1
     closed = 2 * (1 - eps + eps * math.log(eps))
-    q = limits.truncated_word_moment(aa, MatrixKind.T, eps, "quadrature", grid=32)
-    _check(out, "limits", "truncated closed form (quadrature)", abs(q.value - closed) < 5e-3, f"{q.value:.5f} vs {closed:.5f}")
+    q = limits.truncated_word_moment(aa, MatrixKind.T, eps, "quadrature", samples=4096)
+    _check(out, "limits", "truncated closed form (quadrature)", abs(q.value - closed) < 1e-4, f"{q.value:.7f} vs {closed:.7f}")
     mc = limits.limit_word_moment(aa, MatrixKind.T, "mc-ladder", samples=200_000, seed=1)
     _check(out, "limits", "Monte Carlo limit within 4 bars of 2", abs(mc.value - 2.0) <= 4 * mc.std_error,
            f"{mc.value:.5f} +- {mc.std_error:.5f}")
@@ -185,7 +185,7 @@ def suite_limits() -> list[CheckResult]:
     for k in (1, 2):
         for e in (0.1, 0.2):
             s = sum(
-                limits.truncated_word_moment(w, MatrixKind.T, e, "quadrature", grid=16).value
+                limits.truncated_word_moment(w, MatrixKind.T, e, "quadrature", samples=4096).value
                 for w in enumerate_pair_matched_words(k)
             )
             bound_ok &= s <= limits.truncated_moment_bound(k, e)

@@ -49,7 +49,7 @@ def report(criterion: int, description: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def m4_toeplitz_quadrature():
-    """Order-4 balanced-Toeplitz limit by deterministic quadrature (shared)."""
+    """Order-4 balanced-Toeplitz limit by the shifted lattice rule (shared)."""
     return limit_moment(2, MatrixKind.T, "quadrature")
 
 

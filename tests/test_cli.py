@@ -17,12 +17,12 @@ def run_cli(*args):
 
 
 def forbid_work(monkeypatch, why):
-    """Make any realization, Monte Carlo estimate or quadrature node fail the test."""
+    """Make any realization, lattice construction or estimate of the weight kernel fail the test."""
     def no_work(*args, **kwargs):
         raise AssertionError(why)
 
     for module, name in (
-        (cli, "simulate_spectra"), (limits, "simulate_spectra"), (limits, "_mc_truncated"), (limits, "_quadrature_value"),
+        (cli, "simulate_spectra"), (limits, "simulate_spectra"), (limits, "_mc_truncated"), (limits, "_lattice"),
     ):
         monkeypatch.setattr(module, name, no_work)
 
@@ -172,7 +172,8 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         (["limit", "--config", "{cfg}"], {"out": 5}, "'out'"),
         (["limit", "--k", "2", "--eps-ladder", "0.3,0.2,0.1"], None, "unrecognized arguments: --eps-ladder"),
         (["verify", "--config", "{cfg}"], {"out": "x"}, "unknown config keys"),
-        (["limit", "--method", "quadrature", "--grid", "2"], None, "grid"),
+        # --grid and a grid key are refused like any unknown flag or key
+        (["limit", "--method", "quadrature", "--grid", "2"], None, "unrecognized arguments: --grid 2"),
         # an output directory that could not be made is refused before any work
         (["limit", "--k", "1", "--out", "{cfg}"], None, "--out"),
         (["words", "--out", "{cfg}/x"], None, "--out"),
@@ -180,8 +181,11 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         # the word integrals give the balanced limits only: limit used to print them under t and h
         (["limit", "--kind", "t", "--k", "1", "--method", "quadrature"], None, "--kind"),
         (["limit", "--config", "{cfg}"], {"kind": "h"}, "'kind'"),
-        # the graded mesh's outermost cells go subnormal; this grid used to print "value": NaN with exit 0
-        (["limit", "--kind", "bh", "--k", "1", "--method", "quadrature", "--grid", "5000"], None, "grid must be <= 3958"),
+        # a grid whose graded cells went subnormal used to print "value": NaN with exit 0; the mesh is gone
+        (["limit", "--kind", "bh", "--k", "1", "--method", "quadrature", "--grid", "5000"], None,
+         "unrecognized arguments: --grid 5000"),
+        (["limit", "--config", "{cfg}"], {"k": 2, "method": "quadrature", "grid": 64},
+         "unknown config keys for limit: ['grid']"),
         (["limit", "--config", "{cfg}"], {"k": 2, "eps_ladder": None}, "'eps_ladder'"),
     ],
     ids=[
@@ -193,7 +197,7 @@ def test_simulate_rejects_bad_eps(tmp_path, capsys):
         "ladder-zero-rung", "config-ladder-rung-1", "suite-unknown", "config-suite-unknown",
         "config-out-number", "ladder-short-for-k", "config-verify-out", "quadrature-grid-2",
         "out-existing-file", "out-under-file", "config-out-file", "limit-kind-t", "config-limit-kind-h",
-        "quadrature-grid-subnormal", "config-ladder-null",
+        "quadrature-grid-subnormal", "config-grid", "config-ladder-null",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, config, message):
@@ -273,8 +277,9 @@ def test_simulate_over_matrix_budget_exits_1_before_work(tmp_path, capsys):
     "args, message",
     [
         (["moments", "--k-max", "8"], "enumeration cap"),
-        (["moments", "--method", "quadrature", "--k-max", "4"], "k <= 3"),
-        (["limit", "--k", "2", "--method", "quadrature", "--grid", "10000000", "--threads", "1"], "GiB"),
+        (["moments", "--method", "quadrature", "--k-max", "8"], "enumeration cap"),
+        (["limit", "--k", "2", "--method", "quadrature", "--samples", "1000000000000000", "--threads", "1"],
+         "GiB per batch"),
         (["simulate", "--n", "10", "--reps", "2", "--bins", "1000001", "--threads", "1"], "histogram bins"),
         (["limit", "--k", "1", "--samples", "1000000000000000", "--threads", "1"], "GiB per batch"),
         (["moments", "--samples", "1000000000000000"], "GiB per batch"),
@@ -328,6 +333,18 @@ def test_limit_quadrature_value(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["value"] - 2.0) < 1e-3
     assert "ladder" not in payload
+
+
+def test_limit_quadrature_reruns_byte_identical_across_threads(tmp_path, capsys):
+    # the lattice vector is cached per process, the shifts come from each
+    # word's derived seed: a rerun and a two-worker run write the same bytes
+    args = ["limit", "--kind", "bh", "--k", "2", "--method", "quadrature", "--samples", "40000"]
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        assert run_cli(*args, "--threads", threads, "--out", str(tmp_path / name)) == 0
+    capsys.readouterr()
+    first = (tmp_path / "a" / "limit.json").read_bytes()
+    assert first == (tmp_path / "b" / "limit.json").read_bytes() == (tmp_path / "c" / "limit.json").read_bytes()
+    assert json.loads(first)["method"] == "quadrature"
 
 
 def test_limit_rejects_oversized_k(capsys):

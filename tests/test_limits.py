@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import tracemalloc
@@ -9,14 +8,14 @@ import pytest
 
 from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
-from balanced_spectra.matgen import MatrixKind, occurrence_draw, occurrence_fraction, submatrix_window, trimmed_interval
+from balanced_spectra.matgen import MatrixKind, occurrence_draw, submatrix_window, trimmed_interval
 from balanced_spectra.limits import (
     Method,
     _WordContext,
     _finite_n_sum,
-    _graded_axis,
+    _lattice,
+    _lattice_size,
     _mc_truncated,
-    _quadrature_value,
     _weight_on,
     compare_empirical_limit,
     finite_n_word_moment,
@@ -210,88 +209,105 @@ def test_finite_n_budget_guard():
 
 
 def test_quadrature_budget_guard(monkeypatch):
-    # grid 10^7 at k=2 would allocate (2 * 10^7)^2 rows per node: refused before
-    # any node is evaluated, where it used to end in numpy's _ArrayMemoryError
-    def no_nodes(*args):
-        raise AssertionError("an over-budget grid must be refused before quadrature runs")
+    # 10^15 points would make a lattice of 6.25e13 points per shift: refused
+    # before its prime is sought, its vector built or any point made
+    def no_points(*args, **kwargs):
+        raise AssertionError("an over-budget lattice must be refused before any point is made")
 
-    monkeypatch.setattr(limits_module, "_quadrature_value", no_nodes)
-    with pytest.raises(ResourceLimitError, match="GiB"):
-        limit_word_moment(Word("aabb"), MatrixKind.T, "quadrature", grid=10**7)
-    with pytest.raises(ResourceLimitError, match="GiB"):
-        limit_moment(1, MatrixKind.T, "quadrature", grid=10**9, threads=1)
-    # the default grid passes the guard at every k quadrature supports
-    monkeypatch.setattr(limits_module, "_quadrature_value", lambda ctx, eps, grid: 0.0)
-    for letters in ("aa", "aabb", "aabbcc"):
-        assert limit_word_moment(Word(letters), MatrixKind.T, "quadrature").value == 0.0
-
-
-def test_quadrature_refuses_a_grid_whose_outer_cells_are_subnormal(monkeypatch):
-    # from grid 3960 at k = 1 the graded mesh's outermost cells lie below the
-    # normal float64 range; the Hankel integrand overflowed there and the value read NaN
-    def no_nodes(*args):
-        raise AssertionError("a subnormal mesh must be refused before quadrature runs")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(limits_module, "_quadrature_value", no_nodes)
-        for letters, finest in (("aa", 3958), ("aabb", 1972)):
-            for grid in (finest + 1, finest + 2):
-                with pytest.raises(InvalidArgumentError, match=f"grid must be <= {finest} .* got {grid}"):
-                    limit_word_moment(Word(letters), MatrixKind.H, "quadrature", grid=grid)
-        with pytest.raises(InvalidArgumentError, match="grid must be <= 3958"):
-            limit_moment(1, MatrixKind.BH, "quadrature", grid=5000, threads=1)
-        with pytest.raises(InvalidArgumentError, match="grid must be <= 3958"):
-            truncated_word_moment(AA, MatrixKind.H, 0.2, "quadrature", grid=5000)
-    # the finest admitted grid still gives a finite value where the integrand is largest
-    for kind in (MatrixKind.T, MatrixKind.H):
-        assert math.isfinite(_quadrature_value(_WordContext(AA, kind), 0.0, 3958))
+    for name in ("_lattice_size", "_lattice", "_mc_truncated", "simulate_spectra"):
+        monkeypatch.setattr(limits_module, name, no_points)
+    huge = 10**15
+    with pytest.raises(ResourceLimitError, match="quadrature at k=2 .* GiB per batch"):
+        limit_word_moment(Word("aabb"), MatrixKind.T, "quadrature", samples=huge)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        limit_moment(1, MatrixKind.T, "quadrature", samples=huge, threads=1)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        truncated_word_moment(AA, MatrixKind.H, 0.2, "quadrature", samples=huge)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, method="quadrature", samples=huge)
 
 
-def node_row_quadrature(word, kind, eps, grid):
-    """The graded-mesh quadrature with every node as an explicit row: forms
-    by ``X @ coeffs.T`` and weights by the outer product of the axis weights."""
-    ctx = _WordContext(word, kind)
-    lo, hi = trimmed_interval(kind, eps)
-    nodes, weights = _graded_axis(grid, lo, hi)
-    dim = word.k + 1
-    x = np.array(list(itertools.product(nodes, repeat=dim)))
-    forms = (x @ ctx.coeffs.T).T
-    keep = np.ones(len(x), dtype=bool)
-    for i in ctx.dependent:
-        keep &= (forms[i] >= lo) & (forms[i] <= hi)
-    denom = np.prod([occurrence_fraction(kind, forms[row], x[:, col]) for row, col in ctx.gen_pairs], axis=0)
-    keep &= denom > 0.0
-    w = functools.reduce(np.multiply.outer, [weights] * dim).ravel()
-    return float(np.sum(w[keep] / denom[keep]))
+def _largest_prime_up_to(n):
+    return next(p for p in range(n, 2, -1) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def test_quadrature_budget_edge_and_int64_products(monkeypatch):
+    # the edge at k = 1: LATTICE_POINT_FLOATS float64 per point of a shift and
+    # 3k + 12 = 15 per row of one block, 2^30 bytes in all; a prime lattice
+    # size n is what ceil(samples / BATCHES) = n asks for
+    floats = limits_module.LATTICE_POINT_FLOATS
+    fits = _largest_prime_up_to((limits_module.INTEGRAND_BUDGET // 8 - 15 * limits_module._MC_BLOCK) // floats)
+    assert _lattice_size(limits_module.BATCHES * fits, limits_module.BATCHES) == fits
+    limits_module._plan(1, "quadrature", limits_module.BATCHES * fits)
+    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+        limits_module._plan(1, "quadrature", limits_module.BATCHES * (fits + 1))
+    # the points are built from products of two residues mod n in int64: with
+    # the budget lifted, n^2 must still stay below 2^63
+    monkeypatch.setattr(limits_module, "INTEGRAND_BUDGET", 2**80)
+    below = _largest_prime_up_to(math.isqrt(2**63 - 1))
+    limits_module._plan(1, "quadrature", limits_module.BATCHES * below)
+    with pytest.raises(ResourceLimitError, match="int64"):
+        limits_module._plan(1, "quadrature", limits_module.BATCHES * (below + 1))
+    # the default point count passes at every k the words enumerate
+    monkeypatch.undo()
+    for k in range(1, MAX_K + 1):
+        limits_module._plan(k, "quadrature", limits_module.DEFAULT_SAMPLES)
+
+
+def _reference_lattice(ctx, eps, samples, batches, seed):
+    """The lattice estimate on explicit point rows: frac(i z / n + shift) for
+    every i < n at once, with one ``_weight_on`` call per shift."""
+    lo, hi = trimmed_interval(ctx.link, eps)
+    n = _lattice_size(samples, batches)
+    z = _lattice(n, ctx.k + 1)
+    shifts = np.random.Generator(np.random.PCG64(seed)).random((batches, ctx.k + 1))
+    means = np.empty(batches)
+    for b, shift in enumerate(shifts):
+        u = (np.multiply.outer(z, np.arange(n)) % n / n + shift[:, None]) % 1.0
+        means[b] = _weight_on(ctx, u, np.empty_like(u), lo, hi, np.empty((6, n)), np.empty((2, n), bool)).mean()
+    return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
-def test_open_mesh_matches_node_rows(kind, eps):
+def test_lattice_blocks_match_point_rows(monkeypatch, kind, eps):
+    # the kernel builds each block's points from one base row and the block's
+    # offset; with 7-row blocks a lattice of 37 points is five whole blocks
+    # and a ragged one of 2, and a lattice of 5 points one short block
+    monkeypatch.setattr(limits_module, "_MC_BLOCK", 7)
     for k in (1, 2, 3):
         for word in enumerate_pair_matched_words(k):
-            value = _quadrature_value(_WordContext(word, kind), eps, 6)
-            assert value == pytest.approx(node_row_quadrature(word, kind, eps, 6), rel=1e-15, abs=0.0), word
+            ctx = _WordContext(word, kind)
+            for samples in (10, 74):
+                value, se = _mc_truncated(ctx, eps, samples, 2, 3 * k, lattice=True)
+                want = _reference_lattice(ctx, eps, samples, 2, 3 * k)
+                assert value == pytest.approx(want[0], rel=1e-12, abs=0.0), (word, samples)
+                assert se == pytest.approx(want[1], rel=1e-9, abs=1e-15), (word, samples)
 
 
 def test_quadrature_guard_bounds_the_peak():
-    # one call's tracemalloc peak per row of a node's slice, at 10^4 rows or
-    # more per slice; the trim changes no array's size, and at grid 5000 the
-    # outermost cells are so thin that the untrimmed Hankel integrand overflows
-    _quadrature_value(_WordContext(Word("abab"), MatrixKind.H), 0.2, 4)  # numpy's one-time allocations
-    for kind in (MatrixKind.T, MatrixKind.H):
-        for k, grid in ((1, 5000), (2, 50), (3, 12)):
-            rows = (2 * grid) ** k
-            assert rows >= 10_000
-            for word in enumerate_pair_matched_words(k):
-                tracemalloc.start()
-                try:
-                    base = tracemalloc.get_traced_memory()[0]
-                    _quadrature_value(_WordContext(word, kind), 0.2, grid)
-                    peak = tracemalloc.get_traced_memory()[1] - base
-                finally:
-                    tracemalloc.stop()
-                assert peak / (8 * rows) <= limits_module.QUADRATURE_ROW_FLOATS, (kind, word, peak / (8 * rows))
+    # one uncached call's tracemalloc peak against LATTICE_POINT_FLOATS
+    # float64 per point of a shift and 3k + 12 per row of one block, no longer
+    # than the shift: the construction of the lattice vector peaks before the
+    # kernel allocates its weights and scratch.  The scratch differs by word,
+    # the construction by size only, so every other word up to k = 3 and a
+    # fifth of those at k = 4 at 10,007 points, and one word per k at 200,003
+    _mc_truncated(_WordContext(AA, MatrixKind.T), 0.0, 200, 2, 0, lattice=True)  # numpy's one-time allocations
+    for kind, k, samples in itertools.product((MatrixKind.T, MatrixKind.H), (1, 2, 3, 4), (20_000, 400_000)):
+        n = _lattice_size(samples, 2)
+        block = min(n, limits_module._MC_BLOCK)
+        words = enumerate_pair_matched_words(k)
+        for word in words[:: 5 if k == 4 else 2] if n < 100_000 else words[:1]:
+            _lattice.cache_clear()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _mc_truncated(_WordContext(word, kind), 0.0, samples, 2, 0, lattice=True)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            bound = 8 * (limits_module.LATTICE_POINT_FLOATS * n + (3 * k + 12) * block)
+            assert peak <= bound, (kind, n, word, peak / 8)
 
 
 def test_finite_n_trimmed_window_matches_truncated_integral():
@@ -345,7 +361,7 @@ def test_truncated_sum_obeys_pairing_bound():
     for k in (1, 2, 3):
         for eps in (0.1, 0.2):
             total = sum(
-                truncated_word_moment(w, MatrixKind.T, eps, "quadrature", grid=16).value
+                truncated_word_moment(w, MatrixKind.T, eps, "quadrature", samples=4096).value
                 for w in enumerate_pair_matched_words(k)
             )
             assert total <= truncated_moment_bound(k, eps)
@@ -357,7 +373,7 @@ def test_truncated_validation():
     with pytest.raises(InvalidArgumentError):
         truncated_word_moment(AA, MatrixKind.T, 0.1, "bogus")
     with pytest.raises(ResourceLimitError):
-        truncated_word_moment(Word("aabbccdd"), MatrixKind.T, 0.1, "quadrature")
+        truncated_word_moment(Word("aabbccdd"), MatrixKind.T, 0.1, "quadrature", samples=10**15)
 
 
 @pytest.mark.parametrize("budget", [{"samples": 0}, {"samples": -1}, {"samples": -5}])
@@ -502,12 +518,12 @@ def test_monte_carlo_budget_guard(monkeypatch):
     # the edge at k = 1: 1 float64 per row of a batch and 13 per row of one
     # block, 2^30 bytes in all
     per_batch = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK
-    limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch, limits_module.DEFAULT_GRID)
+    limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch)
     with pytest.raises(ResourceLimitError):
-        limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1, limits_module.DEFAULT_GRID)
+        limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1)
     # the default sample count passes at every k the words enumerate
     for k in range(1, MAX_K + 1):
-        limits_module._plan(k, "mc-ladder", limits_module.DEFAULT_SAMPLES, limits_module.DEFAULT_GRID)
+        limits_module._plan(k, "mc-ladder", limits_module.DEFAULT_SAMPLES)
 
 
 def test_monte_carlo_guard_bounds_the_peak():
@@ -598,24 +614,27 @@ def test_even_order_dispatch():
 
 
 def test_quadrature_k_cap():
-    with pytest.raises(ResourceLimitError):
-        limit_word_moment(Word("aabbccdd"), MatrixKind.T, "quadrature")
+    # quadrature used to refuse k > 3; its one cap on k is now the words'
+    # enumeration cap, and at k = 4 it agrees with the Monte Carlo
+    word = Word("abacbdcd")
+    lattice = limit_word_moment(word, MatrixKind.T, "quadrature", samples=200_000, seed=4)
+    mc = limit_word_moment(word, MatrixKind.T, "mc-ladder", samples=200_000, seed=4)
+    assert lattice.value > 0.0 and 0.0 < lattice.std_error < 0.01 * lattice.value
+    assert abs(lattice.value - mc.value) <= 4.0 * math.hypot(lattice.std_error, mc.std_error)
+    with pytest.raises(ResourceLimitError, match="enumeration cap"):
+        limit_moment(MAX_K + 1, MatrixKind.T, "quadrature", samples=1000, threads=1)
 
 
-def test_quadrature_error_bar_compares_half_the_grid(monkeypatch):
-    # at grid 8 the coarse mesh used to be max(8, grid // 2) = 8 cells, the
-    # fine mesh itself, so 1.97996 came with an error bar of exactly 0.0
-    est = limit_word_moment(AA, MatrixKind.T, "quadrature", grid=8)
-    assert est.std_error > 0.0
-    assert abs(est.value - 2.0) <= est.std_error
-
-    def no_nodes(*args):
-        raise AssertionError("a grid below MIN_GRID must be refused before quadrature runs")
-
-    monkeypatch.setattr(limits_module, "_quadrature_value", no_nodes)
-    for grid in (2, -5):
-        with pytest.raises(InvalidArgumentError, match="grid"):
-            limit_word_moment(AA, MatrixKind.T, "quadrature", grid=grid)
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_quadrature_bar_covers_the_exact_pair_integral(kind):
+    # the word aa integrates to exactly 2 under both patterns; the bar is the
+    # spread of the 16 shift means, so it is positive with no coarser rule
+    # behind it
+    est = limit_word_moment(AA, kind, "quadrature")
+    assert 0.0 < est.std_error < 1e-4
+    assert abs(est.value - 2.0) <= 4.0 * est.std_error
+    assert est.method is Method.QUADRATURE
+    assert est.params == {"kind": kind.value, "samples": limits_module.DEFAULT_SAMPLES, "batches": 16, "seed": 0}
 
 
 def test_unknown_method_rejected():
@@ -703,6 +722,71 @@ def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds()
         entries = [entry for e in estimates for entry in e.params["per_word"] if entry["word"] == letters]
         assert len(entries) == len(estimates)
         assert_honest(z_scores([(entry["value"], entry["std_error"]) for entry in entries], reference), letters, bars=5.0)
+
+
+# --- randomly shifted lattice rule -----------------------------------------
+
+
+def test_lattice_size_is_the_smallest_odd_prime_at_the_batch_size():
+    def is_odd_prime(n):
+        return n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for samples, batches in itertools.product((1, 16, 48, 49, 4096, 200_000, 2_000_000), (2, 16)):
+        n = _lattice_size(samples, batches)
+        least = max(3, -(-samples // batches))
+        assert is_odd_prime(n) and n >= least, (samples, batches, n)
+        assert not any(is_odd_prime(m) for m in range(least, n)), (samples, batches, n)
+
+
+def test_lattice_vector_is_deterministic_and_made_of_units():
+    for n, dim in ((3, 4), (5, 3), (257, 3), (12503, 8)):
+        z = _lattice(n, dim)
+        assert z.dtype == np.int64 and z.shape == (dim,) and not z.flags.writeable
+        assert np.array_equal(z, _lattice.__wrapped__(n, dim))  # rebuilt, not read from the cache
+        assert z[0] == 1 and all(0 < c < n and math.gcd(int(c), n) == 1 for c in z), (n, z)
+    # component by component: a longer vector extends the shorter one
+    assert np.array_equal(_lattice(12503, 8)[:3], _lattice(12503, 3))
+
+
+def test_lattice_rule_integrates_a_smooth_periodic_product():
+    # prod_j exp(sin(2 pi x_j)) integrates to I0(1)^d (I0 the modified Bessel
+    # function, summed as its series); its Fourier coefficients fall off like
+    # 2^-|h| / |h|!, so a good 4001-point lattice is accurate to 1e-6 in up
+    # to 4 dimensions, the k + 1 coordinates of the words up to k = 3.  The
+    # points are the kernel's, from one block of its uniforms
+    i0 = sum(0.25**m / math.factorial(m) ** 2 for m in range(20))
+    n = _lattice_size(4000, 1)
+    assert n == 4001
+    for dim in (1, 2, 3, 4):
+        shifts = np.random.default_rng(dim).random((2, dim))
+        uniforms = limits_module._lattice_blocks(n, shifts)
+        for b in (0, 1):
+            u = uniforms(b, 0, n)
+            value = float(np.prod(np.exp(np.sin(2.0 * np.pi * u)), axis=0).mean())
+            assert abs(value / i0**dim - 1.0) <= 1e-6, (dim, b, value / i0**dim - 1.0)
+    # the points of the rank-1 rule on the diagonal, z = (1, 1), are off by 42 %
+    u = (np.arange(n) / n + 0.3) % 1.0
+    assert abs(float(np.mean(np.exp(2.0 * np.sin(2.0 * np.pi * u)))) / i0**2 - 1.0) > 0.1
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.BT, MatrixKind.BH])
+def test_quadrature_k2_matches_the_references_over_seeds(kind):
+    # each shift mean is unbiased, so over seeds the z scores against the
+    # references of tests/limit_references.py are held as the Monte Carlo's
+    estimates = [limit_moment(2, kind, "quadrature", samples=200_000, seed=s, threads=1) for s in range(8)]
+    assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(2, kind.link.value)]), kind)
+
+
+def test_quadrature_k3_agrees_across_lattice_sizes():
+    # the Hankel k = 3 reference rests on the lattice alone; two lattice sizes
+    # four times apart must agree within their combined bars, and the larger
+    # must land within 4 bars of that reference
+    small, large = (
+        limit_moment(3, MatrixKind.BH, "quadrature", samples=samples, seed=9, threads=1) for samples in (100_000, 400_000)
+    )
+    assert abs(small.value - large.value) <= 4.0 * math.hypot(small.std_error, large.std_error)
+    assert large.std_error < small.std_error
+    assert_honest(z_scores([(large.value, large.std_error)], TOTALS[(3, "h")]), "k3-bh")
 
 
 # --- empirical comparison --------------------------------------------------
