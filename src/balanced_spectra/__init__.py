@@ -10,13 +10,13 @@ checks.
 import os
 from types import ModuleType as _ModuleType
 
-# Idle OpenBLAS threads spin for about 2^28 cycles after each call; with solves
-# in two forked workers on two cores, one worker's spinning threads starve the
-# other.  2^4 cycles lets them sleep at once.  Only the eigensolves need this:
-# the weight kernel of both limit methods makes no BLAS call.
-# OpenBLAS reads the variable when numpy first loads, so it is set before any
-# numpy import; a user value wins.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+# One BLAS thread per process: the worker pool behind --threads is the only
+# parallelism, so a serial run and each worker is exactly one thread and no
+# idle OpenBLAS helper is left to spin.  On two CPUs an n = 400 eigensolve
+# took about 10 ms this way against 14-15 ms with a helper per core, and the
+# bytes no longer depend on the core count.  OpenBLAS reads the variable when
+# numpy first loads, so it is set before any numpy import; a user value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

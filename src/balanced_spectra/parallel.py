@@ -1,10 +1,13 @@
 """Deterministic task fan-out.
 
-Results never depend on the worker count: every task derives its own seed
-from its index and the reduction happens in submission order.  The process
-pool has two serial fallbacks, each of which re-runs every task in a serial
-loop: an ``OSError`` when the pool is created (a sandbox that refuses to
-fork), and ``BrokenProcessPool`` after a worker dies.
+The process pool is the program's only level of parallelism: importing the
+package defaults ``OPENBLAS_NUM_THREADS`` to 1, so each worker, like a serial
+run, is one thread, and the worker count defaults to the CPUs this process may
+run on.  Results never depend on the worker count: every task derives its own
+seed from its index and the reduction happens in submission order.  The
+process pool has two serial fallbacks, each of which re-runs every task in a
+serial loop: an ``OSError`` when the pool is created (a sandbox that refuses
+to fork), and ``BrokenProcessPool`` after a worker dies.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ ENV_THREADS = "BALANCED_SPECTRA_THREADS"
 
 
 def resolve_workers(threads: int | None = None) -> int:
-    """Explicit count, else the BALANCED_SPECTRA_THREADS env var, else all cores."""
+    """Explicit count, else the BALANCED_SPECTRA_THREADS env var, else the usable CPUs."""
     if threads is None:
         env = os.environ.get(ENV_THREADS)
         if not env:
+            # the affinity mask, where the OS has one: under taskset or a
+            # cpuset, os.cpu_count() reports CPUs this process cannot use
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         try:
             threads = int(env)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -113,16 +114,55 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers(0)
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "4"), ("9", "9")])
-def test_import_sets_openblas_thread_timeout(preset, expected):
+def test_resolve_workers_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("BALANCED_SPECTRA_THREADS", raising=False)
+    # a taskset/cpuset mask of 2 CPUs on a 64-CPU machine forks 2 workers, not 64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert resolve_workers() == 2
+    # without an affinity call (macOS, Windows) the core count is the fallback
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
+
+
+def _run_fresh(code: str, preset: str | None) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports the package from src/."""
     env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
     if preset is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    result = subprocess.run(
-        [sys.executable, "-c", "import os, balanced_spectra; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
-        capture_output=True, text=True, env=env, check=True,
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_sets_openblas_num_threads(preset, expected):
+    code = "import os, balanced_spectra; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_fresh(code, preset) == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
+@pytest.mark.parametrize("preset, expected", [(None, 1), ("2", 2)])
+def test_eigensolve_process_is_one_thread(preset, expected):
+    # counts the threads OpenBLAS actually started, not the variable: the
+    # preset case reads 2, so a default that came too late would fail here
+    if expected > 1 and len(os.sched_getaffinity(0)) < expected:
+        pytest.skip("OpenBLAS caps its threads at the usable CPUs")
+    code = (
+        "import pathlib, balanced_spectra, numpy as np\n"
+        "try:\n"
+        "    blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
+        "except TypeError:  # numpy < 1.26 has no dict form; its wheels bundle OpenBLAS\n"
+        "    blas = 'openblas'\n"
+        "np.linalg.eigvalsh(np.random.default_rng(0).standard_normal((200, 200)))\n"
+        "status = pathlib.Path('/proc/self/status').read_text().split()\n"
+        "print(blas, status[status.index('Threads:') + 1])\n"
     )
-    assert result.stdout.strip() == expected
+    blas, threads = _run_fresh(code, preset).split()
+    if "openblas" not in blas:
+        pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
+    assert int(threads) == expected
 
 
 def test_format_float_round_trip():
