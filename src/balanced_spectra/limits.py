@@ -32,7 +32,12 @@ methods and examples*, 2013, ch. 9).  The uniforms behind the draws are the
 generator's stream (Monte Carlo: method ``mc-ladder``, or ``mc`` on a
 trimmed box) or the points of a randomly shifted rank-1 lattice (method
 ``quadrature``: Sloan & Joe, *Lattice Methods for Multiple Integration*,
-1994), one random shift per batch.  Each call of the kernel allocates one
+1994), one random shift per batch.  The Monte Carlo stratifies x_0's uniform
+over the rows of a batch (Owen, ch. 8) and smooths it by phi(v) = v^2 (3 -
+2v), whose derivative vanishes at both ends, where the normalizers are
+log-singular: the non-crossing words, whose weight reads x_0 alone, get bars
+orders of magnitude narrower.  A coordinate that no later form reads is not
+drawn; its normalizer alone is taken.  Each call of the kernel allocates one
 scratch set sized to a block and reuses it for every block, so no block
 allocates an array, and the module keeps no state but its cache of lattice
 vectors: calls may run side by side in threads.
@@ -96,7 +101,7 @@ class MomentEstimate:
 class _WordContext:
     """Precomputed evaluation data for one (word, pattern) pair."""
 
-    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "needed", "k")
+    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "needed", "k", "steps", "checks")
 
     def __init__(self, word: Word, kind: MatrixKind):
         self.word = word
@@ -110,6 +115,22 @@ class _WordContext:
         self.gen_pairs = [(i - 1, col_of[i]) for i in vertices if i > 0]
         self.needed = sorted({*self.dependent, *(row for row, _ in self.gen_pairs)})  # the forms the integrand reads
         self.k = word.k
+        # The weight kernel's plan (``_weight_on``).  Every coordinate it makes
+        # lies in [lo, hi], so a dependent form that is one coordinate is not
+        # checked.  A step draws its coordinate only when a later step's form
+        # or a checked form reads it; otherwise it takes the normalizer alone,
+        # the previous step's ("same") when its form is the previous step's.
+        self.checks = [i for i in self.dependent if sorted(self.coeffs[i]) != [0] * self.k + [1]]
+        self.steps = []
+        for j, (row, col) in enumerate(self.gen_pairs):
+            readers = [r for r, _ in self.gen_pairs[j + 1 :]] + self.checks
+            if np.any(self.coeffs[readers, col]):
+                mode = "draw"
+            elif j and np.array_equal(self.coeffs[row], self.coeffs[self.gen_pairs[j - 1][0]]):
+                mode = "same"
+            else:
+                mode = "z"
+            self.steps.append((row, col, mode))
 
 
 def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray) -> np.ndarray:
@@ -261,33 +282,49 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 
 
 def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
-               flags: np.ndarray) -> np.ndarray:
+               flags: np.ndarray, smooth: bool = False) -> np.ndarray:
     """Importance weights W / (hi - lo) of one block from its uniforms ``u``,
     shape (k + 1, rows), drawing its coordinates into ``x`` of the same shape.
 
-    x_0 is lo + (hi - lo) u_0; each generating coordinate after it is drawn, in
-    walk order, from the density proportional to 1 / occ(L_{i-1}, x) on [lo, hi]
+    x_0 is lo + (hi - lo) u_0, or with ``smooth`` lo + (hi - lo) phi(u_0),
+    phi(v) = v^2 (3 - 2v), with the weight starting at phi'(v) = 6 v (1 - v)
+    instead of 1: phi' vanishes at both ends, where x_0's factors are
+    log-singular.  Each generating coordinate after it is drawn, in walk order,
+    from the density proportional to 1 / occ(L_{i-1}, x) on [lo, hi]
     (``matgen.occurrence_draw``), as L_{i-1} reads earlier coordinates only.  W
     is the product of those densities' normalizers Z(L_{i-1}) where every
-    dependent form lies in [lo, hi], else 0.
+    dependent form lies in [lo, hi], else 0.  The steps follow ``ctx.steps``:
+    a coordinate no later form reads is not drawn, and its row of ``x`` is
+    left as it was.
 
     ``work``, six float64 rows, and ``flags``, two boolean rows, are scratch
     it overwrites; the weights are returned in work[0].
     """
     weight, z, form, product, *draw_work = work
-    np.multiply(u[0], hi - lo, out=x[0])
-    x[0] += lo
-    weight.fill(1.0)
-    for row, col in ctx.gen_pairs:
-        y = _form(ctx.coeffs[row], x, out=(form, product))
-        occurrence_draw(ctx.link, y, u[col], lo, hi, out=(x[col], z, draw_work, flags))
+    if smooth:
+        v = u[0]
+        np.multiply(v, 6.0, out=weight)
+        weight *= np.subtract(1.0, v, out=z)  # phi'(v)
+        np.multiply(v, -2.0, out=form)
+        form += 3.0
+        np.multiply(v, v, out=product)
+        product *= form  # phi(v), which float rounding keeps in [0, 1]
+        np.multiply(product, hi - lo, out=x[0])
+    else:
+        np.multiply(u[0], hi - lo, out=x[0])
+        weight.fill(1.0)
+    x[0] += lo  # lo + (hi - lo) t, t in [0, 1], rounds into [lo, hi] on both patterns' intervals
+    for row, col, mode in ctx.steps:
+        if mode != "same":  # else z still holds the previous step's normalizer
+            y = _form(ctx.coeffs[row], x, out=(form, product))
+            occurrence_draw(ctx.link, y, u[col] if mode == "draw" else None, lo, hi, out=(x[col], z, draw_work, flags))
         weight *= z
-    inside, below_hi = flags
-    for i in ctx.dependent:
+    outside, above = flags
+    for i in ctx.checks:
         y = _form(ctx.coeffs[i], x, out=(form, product))
-        np.greater_equal(y, lo, out=inside)
-        inside &= np.less_equal(y, hi, out=below_hi)
-        weight *= inside  # W is finite and >= 0, so this is W or 0
+        np.less(y, lo, out=outside)
+        outside |= np.greater(y, hi, out=above)
+        np.copyto(weight, 0.0, where=outside)
     return weight
 
 
@@ -364,13 +401,16 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
 
     W is at most log-singular, so eps = 0 needs no trim.  A Monte Carlo batch
     is ceil(samples / batches) rows of the seed's stream, drawn in blocks of
-    ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  With
-    ``lattice`` a batch is the ``_lattice_size`` points of the rank-1 lattice
-    under one uniform shift drawn from that stream, whose mean is unbiased
-    too.  The call allocates one scratch set of block rows and reuses it for
-    every block, so no block allocates an array.  The batch means are
-    averaged, not their median taken: W is right-skewed, and the median of
-    skewed means is biased low.
+    ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  Row i
+    of a batch takes u_0 = (i + U_i) / rows, U_i its stream draw, so x_0 is
+    stratified over the batch and the batches stay independent, each mean
+    unbiased; ``_weight_on`` smooths that u_0.  With ``lattice`` a batch is
+    the ``_lattice_size`` points of the rank-1 lattice under one uniform
+    shift drawn from that stream, unsmoothed, whose mean is unbiased too.
+    The call allocates one scratch set of block rows and reuses it for every
+    block, so no block allocates an array.  The batch means are averaged,
+    not their median taken: W is right-skewed, and the median of skewed
+    means is biased low.
     """
     lo, hi = trimmed_interval(ctx.link, eps)
     if batches < 2:
@@ -382,9 +422,14 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     else:
         per_batch = max(1, int(math.ceil(samples / batches)))
         draw = np.empty((min(per_batch, _MC_BLOCK), ctx.k + 1))
+        index = np.arange(draw.shape[0], dtype=float)  # start + r at the block starting at start
 
         def uniforms(b: int, start: int, m: int) -> np.ndarray:
-            return rng.random(out=draw[:m]).T
+            u = rng.random(out=draw[:m]).T
+            np.add(index, start - index[0], out=index)  # integers, so exact
+            np.add(index[:m], u[0], out=u[0])
+            u[0] /= per_batch  # row i of the batch: (i + U_i) / per_batch
+            return u
 
     means = np.empty(batches)
     vals = np.empty(per_batch)
@@ -395,7 +440,7 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
             u = uniforms(b, start, m)
-            vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
+            vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m], not lattice)
         means[b] = vals.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
@@ -411,11 +456,12 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
     Monte Carlo batch needs its ceil(samples / ``BATCHES``) weights, one
     float64 per row, and at most 2k + 11 more per row of one block of
     ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms, k + 1
-    coordinate rows, six work rows and two boolean rows, plus numpy's one-row
-    buffer that casts the dependent-form flags; worst tracemalloc peaks of one
-    ``_mc_truncated`` call over the words, a sample of them at k >= 5, with
-    batches of 1,000 and 50,000 rows, less the one per batch row, were 10.8,
-    13.8, 15.8, 17.8, 19.9, 22.0, 24.0 float64 per block row at k = 1..7).  A
+    coordinate rows, six work rows, two boolean rows and the row of stratum
+    indices; worst tracemalloc peaks of one ``_mc_truncated`` call over the
+    words, a sample of them at k >= 5, with batches of 1,000 and 50,000 rows,
+    less the one per batch row, were 11.9, 14.0, 16.0, 18.1, 20.2, 22.2, 24.5
+    float64 per block row at k = 1..7, the excess over the scratch falling
+    with the block's length).  A
     lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its n =
     ``_lattice_size`` points for the construction of its vector, freed before
     the weights are made (peak resident set 7.7 float64 per point at n =

@@ -120,8 +120,9 @@ def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float, out=None):
     A = -ln(c + lo), and the inverse CDF at t = u Z is (c + lo) e^t - c below
     the kink (t <= A) and 2 - c - e^(A - t) above it.  Where y lies outside
     [lo, hi] or occ vanishes at an end of it, Z is 0 (and x some point of
-    [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are arrays of
-    one shape.
+    [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are non-empty
+    arrays of one shape.  With ``u`` None only Z is computed, two logarithms
+    and no exponential, and x is None.
 
     ``out`` is (x, z, work, flags): x and z of y's shape receive the result,
     and work (float64) and flags (bool), each two rows of y's shape, are
@@ -139,23 +140,24 @@ def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float, out=None):
     c, one_minus_c = (y, flip) if kind.link is MatrixKind.H else (flip, y)
     np.add(c, lo, out=a)  # occ(y, lo)
     np.add(one_minus_c, 1.0 - hi, out=z)  # occ(y, hi)
-    np.less(y, lo, out=bad)
-    bad |= np.greater(y, hi, out=below)
-    bad |= np.less_equal(a, 0.0, out=below)
-    bad |= np.less_equal(z, 0.0, out=below)
-    if bad.any():  # Z = 0 there
-        np.putmask(a, bad, 1.0)
-        np.putmask(z, bad, 1.0)
+    if y.min() < lo or y.max() > hi or a.min() <= 0.0 or z.min() <= 0.0:  # Z = 0 somewhere
+        np.less(y, lo, out=bad)
+        bad |= np.greater(y, hi, out=below)
+        bad |= np.less_equal(a, 0.0, out=below)
+        bad |= np.less_equal(z, 0.0, out=below)
+        np.copyto(a, 1.0, where=bad)
+        np.copyto(z, 1.0, where=bad)
     np.negative(np.log(a, out=a), out=a)  # A
     np.subtract(a, np.log(z, out=z), out=z)  # Z
+    if u is None:
+        return None, z
     d = np.subtract(np.multiply(u, z, out=x), a, out=a)  # t - A: at most 0 below the kink
     np.less_equal(d, 0.0, out=below)
     # e^(t - A) = (c + lo) e^t below the kink, e^(A - t) above: neither overflows
     e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
     np.add(one_minus_c, np.subtract(1.0, e, out=x), out=x)  # above the kink
-    np.putmask(x, below, np.subtract(e, c, out=e))  # below it
-    np.maximum(x, lo, out=x)
-    return np.minimum(x, hi, out=x), z
+    np.copyto(x, np.subtract(e, c, out=e), where=below)  # below it
+    return np.clip(x, lo, hi, out=x), z
 
 
 def check_matrix_budget(n: int) -> None:

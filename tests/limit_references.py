@@ -8,7 +8,14 @@ Provenance:
 * k = 1: the word ``aa`` integrates 1 / (1 - |x - y|) over the unit square,
   which is exactly 2 (the eps -> 0 limit of the trimmed closed form
   2 (1 - eps + eps ln eps)); the Hankel integral maps onto it by y -> 1 - y.
-* k = 2, Toeplitz, two routes that agree:
+* k = 2, the non-crossing words ``aabb`` and ``abba``: exactly
+  int_0^1 (ln x + ln(1 - x))^2 dx = 8 - pi^2 / 3 = 4.7101318663 under both
+  patterns.  Each walks a plane tree whose leaves integrate 1 / (1 - |x - y|)
+  over their own coordinate to Z(x) = -ln x - ln(1 - x), so the word is the
+  integral of Z^2 (for ``abba`` after the inner integral over the root, by
+  the kernel's symmetry); Hankel's kernel maps onto Toeplitz's by reflecting
+  every odd-depth vertex.  Their spread is rounding only.
+* k = 2, Toeplitz ``abab``, two routes that agree:
   - the exact finite-n oracle (``finite_n_word_moment``) at n = 25 .. 400,
     extrapolated in n with fits in {1, 1/n, ln n / n}, with and without
     1/n^2 and ln^2 n / n: total 10.8400 .. 10.8409, ``aabb`` (= ``abba``)
@@ -19,29 +26,34 @@ Provenance:
     1994): total 10.84053 +- 4.2e-4 at 2.1M points per word, ``aabb``
     4.710127 +- 7.0e-6 and ``abab`` 1.420368 +- 4.2e-5 at 16M points.
   ``abab``'s two routes differ by 1.1e-4, which is not resolved; its spread
-  covers both.
-* k = 2, Hankel: the lattice rule gave 9.42043 +- 2.6e-4.  ``abab`` vanishes
-  and ``aabb`` and ``abba`` are the Toeplitz ``aabb`` integral, so twice the
-  Toeplitz ``aabb`` above, 9.42025, is a second route within that bar.
+  covers both, and the Toeplitz total's spread covers it.
+* k = 2, Hankel: ``abab`` vanishes and ``aabb`` and ``abba`` are the
+  Toeplitz ``aabb`` integral, so the total is exactly 16 - 2 pi^2 / 3 =
+  9.4202637326 (the lattice rule gave 9.42043 +- 2.6e-4).
 * k = 3: lattice only, not yet confirmed by a second route.  Toeplitz
   88.2674 +- 7.0e-3 over the 15 words (three lattice sizes agreed within
   3e-3; 88.2713 +- 0.013 over the 5 rotation/reflection classes weighted by
   size); Hankel 66.0464 +- 6.9e-3.
 """
 
+import math
+
+AABB = 8.0 - math.pi**2 / 3.0  # aabb = abba at k = 2, either pattern
+ROUNDING = 1e-15  # the spread of a closed form evaluated in float64
+
 # (k, pattern) -> (value, spread) of the order-2k limiting moment
 TOTALS = {
     (1, "t"): (2.0, 0.0),
     (1, "h"): (2.0, 0.0),
     (2, "t"): (10.8405, 5e-4),
-    (2, "h"): (9.4204, 3e-4),
+    (2, "h"): (2.0 * AABB, ROUNDING),
     (3, "t"): (88.267, 0.013),  # lattice only
     (3, "h"): (66.046, 0.007),  # lattice only
 }
 
 # word -> (value, spread) of its Toeplitz contribution at k = 2
 TOEPLITZ_K2_WORDS = {
-    "aabb": (4.7101, 1e-4),
+    "aabb": (AABB, ROUNDING),
     "abab": (1.4203, 2e-4),
-    "abba": (4.7101, 1e-4),
+    "abba": (AABB, ROUNDING),
 }

@@ -408,18 +408,21 @@ def _reference_draw(kind, y, u, lo, hi):
 
 def _reference_mc(ctx, eps, samples, batches, seed):
     """The importance-sampled estimate on whole batches: ``rng.random`` draws
-    of the batch's shape, each form summed over all its columns, each
-    coordinate drawn by ``_reference_draw`` over the whole batch, and the mean
-    of the batch means."""
+    of the batch's shape, u_0 stratified to (i + U_i) / rows in row i and
+    smoothed by phi(v) = v^2 (3 - 2v) with weight phi'(v) = 6 v (1 - v), each
+    form summed over all its columns, every coordinate drawn by
+    ``_reference_draw`` over the whole batch, and the mean of the batch
+    means."""
     lo, hi = trimmed_interval(ctx.link, eps)
     per_batch = max(1, math.ceil(samples / batches))
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.empty(batches)
     for b in range(batches):
         u = rng.random((per_batch, ctx.k + 1)).T
+        v = (np.arange(per_batch) + u[0]) / per_batch
         x = np.zeros(u.shape)
-        x[0] = lo + (hi - lo) * u[0]
-        weight = np.ones(per_batch)
+        x[0] = lo + (hi - lo) * (v * v * (3.0 - 2.0 * v))
+        weight = 6.0 * v * (1.0 - v)
         for row, col in ctx.gen_pairs:
             x[col], z = _reference_draw(ctx.link, sum(c * x[j] for j, c in enumerate(ctx.coeffs[row])), u[col], lo, hi)
             weight *= z
@@ -483,17 +486,21 @@ def test_weights_stay_finite_at_the_extreme_uniforms(kind):
     # rng.random returns values in [0, 1 - 2^-53], 0 included: at eps = 0 a
     # coordinate at 0 or 1 makes the next factor's occurrence vanish at an end
     # of the axis, which must give weight 0 before any log(0), and the inverse
-    # CDF must keep every coordinate inside the axis
+    # CDF must keep every coordinate it draws inside the axis (x_0, plain or
+    # smoothed, and the steps marked "draw"; the others' rows are left as they
+    # were)
     lo, hi = trimmed_interval(kind, 0.0)
-    for k in (1, 2, 3):
+    for k, smooth in itertools.product((1, 2, 3), (False, True)):
         u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53), repeat=k + 1))).T
         rows = u.shape[1]
         for word in enumerate_pair_matched_words(k):
+            ctx = _WordContext(word, kind)
+            drawn = [0] + [col for _, col, mode in ctx.steps if mode == "draw"]
             x = np.full_like(u, np.nan)
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                weight = _weight_on(_WordContext(word, kind), u, x, lo, hi, np.empty((6, rows)), np.empty((2, rows), bool))
-            assert np.all((x >= lo) & (x <= hi)), word
+                weight = _weight_on(ctx, u, x, lo, hi, np.empty((6, rows)), np.empty((2, rows), bool), smooth)
+            assert np.all((x[drawn] >= lo) & (x[drawn] <= hi)), word
             assert np.all(np.isfinite(weight) & (weight >= 0.0)), word
             assert np.any(weight > 0.0), word
 
@@ -637,6 +644,32 @@ def test_quadrature_bar_covers_the_exact_pair_integral(kind):
     assert est.params == {"kind": kind.value, "samples": limits_module.DEFAULT_SAMPLES, "batches": 16, "seed": 0}
 
 
+def test_quadrature_values_are_pinned():
+    # the lattice path shares the weight kernel with the Monte Carlo but not
+    # its stratified, smoothed root, so its floats must not move when the
+    # kernel's plan skips dead draws and trivial checks: values recorded
+    # before the plan existed
+    recorded = {
+        MatrixKind.BT: (10.840081693016641, 0.0016454892468906281,
+                        [4.710392187255163, 1.4192708299685468, 4.710418675792932]),
+        MatrixKind.BH: (9.419950342853568, 0.0012692973596324887, [4.710392187255163, 0.0, 4.709558155598405]),
+    }
+    for kind, (value, se, words) in recorded.items():
+        est = limit_moment(2, kind, "quadrature", samples=200_000, seed=7, threads=1)
+        assert (est.value, est.std_error) == (value, se), kind
+        assert [e["value"] for e in est.params["per_word"]] == words, kind
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_monte_carlo_bar_of_the_pair_word_is_tiny(kind):
+    # aa's weight reads x_0 alone, so the stratified, smoothed root integrates
+    # it as a one-dimensional rule: the bar at 200,000 points is about 5e-7
+    # where iid draws of x_0 gave 1.9e-3, and it still covers the exact 2
+    est = limit_word_moment(AA, kind, "mc-ladder", samples=200_000, seed=3)
+    assert 0.0 < est.std_error < 1e-5
+    assert abs(est.value - 2.0) <= 4.0 * est.std_error
+
+
 def test_unknown_method_rejected():
     with pytest.raises(InvalidArgumentError):
         limit_word_moment(AA, MatrixKind.T, "midpoint")
@@ -709,13 +742,12 @@ def test_monte_carlo_limit_matches_the_references_over_seeds(k, kind, seeds, sam
 
 
 def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds():
-    # a word's bar is the spread of 16 batch means of a skewed weight, so its z
-    # follows Student's t with 15 dof more than a normal law (and has a longer
-    # low tail: a batch that misses the rare large weights reads low with a
-    # small spread).  Over 100 seeds at 200,000 samples the three words' z had
-    # sd 1.08-1.14 and reached -4.11 (abab, seed 15 here); over 60 at 10^6,
-    # sd 1.03-1.22, from -4.44 to +4.29.  So a total is held to 4 bars and one
-    # word's estimate to 5
+    # a word's bar is the spread of 16 batch means, so its z follows Student's
+    # t with 15 dof more than a normal law (sd 1.07), and a batch set that
+    # reads low with a small spread makes a long tail: against the exact
+    # aabb = abba, over master seeds 0-999 at 200,000 samples aabb's z had sd
+    # 1.12 and reached -5.29, abba's sd 1.10 and +4.18.  So a total is held to
+    # 4 bars and one word's estimate to 5
     estimates = [limit_moment(2, MatrixKind.BT, "mc-ladder", samples=200_000, seed=s, threads=1) for s in range(16)]
     assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(2, "t")]), "total")
     for letters, reference in TOEPLITZ_K2_WORDS.items():
