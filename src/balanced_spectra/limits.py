@@ -21,10 +21,10 @@ Three evaluation routes are provided and cross-checked against each other:
   where the integrand is bounded by eps^-k.
 * ``limit_word_moment`` -- the eps = 0 value.
 
-Both integrate one importance weight with one kernel.  x_0 is uniform and
-each later generating coordinate x_i, in walk order, is drawn from the
-density proportional to its own factor 1 / occ(L_{i-1}, x_i), whose
-normalizer Z(L_{i-1}) and inverse CDF are closed forms
+Both integrate one importance weight with one kernel.  x_0 is set from its
+uniform (below), and each later generating coordinate x_i, in walk order, is
+drawn from the density proportional to its own factor 1 / occ(L_{i-1}, x_i),
+whose normalizer Z(L_{i-1}) and inverse CDF are closed forms
 (``matgen.occurrence_draw``).  What is left to average, the product of the
 normalizers times the indicator, is at most log-singular, so it has a finite
 variance at eps = 0 itself (importance sampling: Owen, *Monte Carlo theory,
@@ -33,14 +33,14 @@ generator's stream (Monte Carlo: method ``mc-ladder``, or ``mc`` on a
 trimmed box) or the points of a randomly shifted rank-1 lattice (method
 ``quadrature``: Sloan & Joe, *Lattice Methods for Multiple Integration*,
 1994), one random shift per batch.  The Monte Carlo stratifies x_0's uniform
-over the rows of a batch (Owen, ch. 8) and smooths it by phi(v) = v^2 (3 -
-2v), whose derivative vanishes at both ends, where the normalizers are
-log-singular: the non-crossing words, whose weight reads x_0 alone, get bars
-orders of magnitude narrower.  A coordinate that no later form reads is not
-drawn; its normalizer alone is taken.  Each call of the kernel allocates one
-scratch set sized to a block and reuses it for every block, so no block
-allocates an array, and the module keeps no state but its cache of lattice
-vectors: calls may run side by side in threads.
+over the rows of a batch (Owen, ch. 8); the lattice's is a shifted grid.  Both
+smooth it by phi(v) = v^2 (3 - 2v), whose derivative vanishes at both ends,
+where the normalizers are log-singular: the non-crossing words, whose weight
+reads x_0 alone, get bars orders of magnitude narrower.  A coordinate that no
+later form reads is not drawn; its normalizer alone is taken.  Each call of
+the kernel allocates one scratch set sized to a block and reuses it for every
+block, so no block allocates an array, and the module keeps no state but its
+cache of lattice vectors: calls may run side by side in threads.
 """
 
 from __future__ import annotations
@@ -282,15 +282,16 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 
 
 def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
-               flags: np.ndarray, smooth: bool = False) -> np.ndarray:
+               flags: np.ndarray) -> np.ndarray:
     """Importance weights W / (hi - lo) of one block from its uniforms ``u``,
     shape (k + 1, rows), drawing its coordinates into ``x`` of the same shape.
 
-    x_0 is lo + (hi - lo) u_0, or with ``smooth`` lo + (hi - lo) phi(u_0),
-    phi(v) = v^2 (3 - 2v), with the weight starting at phi'(v) = 6 v (1 - v)
-    instead of 1: phi' vanishes at both ends, where x_0's factors are
-    log-singular.  Each generating coordinate after it is drawn, in walk order,
-    from the density proportional to 1 / occ(L_{i-1}, x) on [lo, hi]
+    x_0 is lo + (hi - lo) phi(u_0), phi(v) = v^2 (3 - 2v), with the weight
+    starting at phi'(v) = 6 v (1 - v), which vanishes at both ends, where
+    x_0's factors are log-singular: a polynomial periodizing transform of the
+    Korobov type (Sloan & Joe, 1994, ch. 2), the same for both point sets.
+    Each generating coordinate after it is drawn, in walk order, from the
+    density proportional to 1 / occ(L_{i-1}, x) on [lo, hi]
     (``matgen.occurrence_draw``), as L_{i-1} reads earlier coordinates only.  W
     is the product of those densities' normalizers Z(L_{i-1}) where every
     dependent form lies in [lo, hi], else 0.  The steps follow ``ctx.steps``:
@@ -301,18 +302,14 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     it overwrites; the weights are returned in work[0].
     """
     weight, z, form, product, *draw_work = work
-    if smooth:
-        v = u[0]
-        np.multiply(v, 6.0, out=weight)
-        weight *= np.subtract(1.0, v, out=z)  # phi'(v)
-        np.multiply(v, -2.0, out=form)
-        form += 3.0
-        np.multiply(v, v, out=product)
-        product *= form  # phi(v), which float rounding keeps in [0, 1]
-        np.multiply(product, hi - lo, out=x[0])
-    else:
-        np.multiply(u[0], hi - lo, out=x[0])
-        weight.fill(1.0)
+    v = u[0]
+    np.multiply(v, 6.0, out=weight)
+    weight *= np.subtract(1.0, v, out=z)  # phi'(v)
+    np.multiply(v, -2.0, out=form)
+    form += 3.0
+    np.multiply(v, v, out=product)
+    product *= form  # phi(v), which float rounding keeps in [0, 1]
+    np.multiply(product, hi - lo, out=x[0])
     x[0] += lo  # lo + (hi - lo) t, t in [0, 1], rounds into [lo, hi] on both patterns' intervals
     for row, col, mode in ctx.steps:
         if mode != "same":  # else z still holds the previous step's normalizer
@@ -404,13 +401,14 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  Row i
     of a batch takes u_0 = (i + U_i) / rows, U_i its stream draw, so x_0 is
     stratified over the batch and the batches stay independent, each mean
-    unbiased; ``_weight_on`` smooths that u_0.  With ``lattice`` a batch is
-    the ``_lattice_size`` points of the rank-1 lattice under one uniform
-    shift drawn from that stream, unsmoothed, whose mean is unbiased too.
-    The call allocates one scratch set of block rows and reuses it for every
-    block, so no block allocates an array.  The batch means are averaged,
-    not their median taken: W is right-skewed, and the median of skewed
-    means is biased low.
+    unbiased.  With ``lattice`` a batch is the ``_lattice_size`` points of the
+    rank-1 lattice under one uniform shift drawn from that stream, whose mean
+    is unbiased too; z[0] = 1 makes its u_0 a shifted grid, which plays the
+    part of the stratified one.  Only the source of the uniforms differs:
+    ``_weight_on`` smooths u_0 alike for both.  The call allocates one scratch
+    set of block rows and reuses it for every block, so no block allocates an
+    array.  The batch means are averaged, not their median taken: W is
+    right-skewed, and the median of skewed means is biased low.
     """
     lo, hi = trimmed_interval(ctx.link, eps)
     if batches < 2:
@@ -440,7 +438,7 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
             u = uniforms(b, start, m)
-            vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m], not lattice)
+            vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
         means[b] = vals.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 

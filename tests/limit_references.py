@@ -30,15 +30,29 @@ Provenance:
 * k = 2, Hankel: ``abab`` vanishes and ``aabb`` and ``abba`` are the
   Toeplitz ``aabb`` integral, so the total is exactly 16 - 2 pi^2 / 3 =
   9.4202637326 (the lattice rule gave 9.42043 +- 2.6e-4).
-* k = 3: lattice only, not yet confirmed by a second route.  Toeplitz
+* k = 3, the non-crossing words ``aabbcc`` and ``abbcca``: exactly
+  int_0^1 Z^3 dx = 48 - 2 pi^2 - 12 zeta(3) = 13.836108359906152 under both
+  patterns (``aabbcc`` is a root with three leaves; ``abbcca`` a root with
+  one child carrying two, and the root integrates K against 1 to Z).  With
+  int ln^3 x dx = -6 and, expanding ln(1 - x) = -sum_n x^n / n,
+  int ln^2 x ln(1 - x) dx = -2 sum_n 1 / (n (n + 1)^3) = -6 + 2 zeta(2) +
+  2 zeta(3), so that int Z^3 = -2 int ln^3 x - 6 int ln^2 x ln(1 - x) by the
+  symmetry x -> 1 - x.  Their spread is rounding only.
+* k = 3 totals: lattice only, not yet confirmed by a second route.  Toeplitz
   88.2674 +- 7.0e-3 over the 15 words (three lattice sizes agreed within
   3e-3; 88.2713 +- 0.013 over the 5 rotation/reflection classes weighted by
-  size); Hankel 66.0464 +- 6.9e-3.
+  size); Hankel 66.0464 +- 6.9e-3.  These came from the lattice before it
+  smoothed x_0.  The smoothed lattice reads the Hankel total as 66.0356 (seed
+  sd 7.9e-4 over 6 seeds at 2M points per word), 1.5 spreads below 66.046 +-
+  0.007; the value and spread are kept, since the same method would be
+  grading itself.
 """
 
 import math
 
+ZETA3 = 1.2020569031595942  # Apery's constant zeta(3)
 AABB = 8.0 - math.pi**2 / 3.0  # aabb = abba at k = 2, either pattern
+AABBCC = 48.0 - 2.0 * math.pi**2 - 12.0 * ZETA3  # aabbcc = abbcca at k = 3, either pattern
 ROUNDING = 1e-15  # the spread of a closed form evaluated in float64
 
 # (k, pattern) -> (value, spread) of the order-2k limiting moment
@@ -56,4 +70,10 @@ TOEPLITZ_K2_WORDS = {
     "aabb": (AABB, ROUNDING),
     "abab": (1.4203, 2e-4),
     "abba": (AABB, ROUNDING),
+}
+
+# word -> (value, spread) of its contribution at k = 3, either pattern
+K3_NONCROSSING_WORDS = {
+    "aabbcc": (AABBCC, ROUNDING),
+    "abbcca": (AABBCC, ROUNDING),
 }

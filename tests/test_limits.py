@@ -10,6 +10,7 @@ from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
 from balanced_spectra.matgen import MatrixKind, occurrence_draw, submatrix_window, trimmed_interval
 from balanced_spectra.limits import (
+    LIMIT_METHODS,
     Method,
     _WordContext,
     _finite_n_sum,
@@ -26,7 +27,7 @@ from balanced_spectra.limits import (
     truncated_word_moment,
 )
 from balanced_spectra.words import MAX_K, Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
-from limit_references import TOEPLITZ_K2_WORDS, TOTALS
+from limit_references import K3_NONCROSSING_WORDS, TOEPLITZ_K2_WORDS, TOTALS
 
 AA = Word("aa")
 
@@ -486,11 +487,10 @@ def test_weights_stay_finite_at_the_extreme_uniforms(kind):
     # rng.random returns values in [0, 1 - 2^-53], 0 included: at eps = 0 a
     # coordinate at 0 or 1 makes the next factor's occurrence vanish at an end
     # of the axis, which must give weight 0 before any log(0), and the inverse
-    # CDF must keep every coordinate it draws inside the axis (x_0, plain or
-    # smoothed, and the steps marked "draw"; the others' rows are left as they
-    # were)
+    # CDF must keep every coordinate it draws inside the axis (the smoothed
+    # x_0 and the steps marked "draw"; the others' rows are left as they were)
     lo, hi = trimmed_interval(kind, 0.0)
-    for k, smooth in itertools.product((1, 2, 3), (False, True)):
+    for k in (1, 2, 3):
         u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53), repeat=k + 1))).T
         rows = u.shape[1]
         for word in enumerate_pair_matched_words(k):
@@ -499,7 +499,7 @@ def test_weights_stay_finite_at_the_extreme_uniforms(kind):
             x = np.full_like(u, np.nan)
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                weight = _weight_on(ctx, u, x, lo, hi, np.empty((6, rows)), np.empty((2, rows), bool), smooth)
+                weight = _weight_on(ctx, u, x, lo, hi, np.empty((6, rows)), np.empty((2, rows), bool))
             assert np.all((x[drawn] >= lo) & (x[drawn] <= hi)), word
             assert np.all(np.isfinite(weight) & (weight >= 0.0)), word
             assert np.any(weight > 0.0), word
@@ -645,14 +645,14 @@ def test_quadrature_bar_covers_the_exact_pair_integral(kind):
 
 
 def test_quadrature_values_are_pinned():
-    # the lattice path shares the weight kernel with the Monte Carlo but not
-    # its stratified, smoothed root, so its floats must not move when the
-    # kernel's plan skips dead draws and trivial checks: values recorded
-    # before the plan existed
+    # the lattice path is the Monte Carlo's weight kernel, smoothed root
+    # included, on other uniforms, so a change to the kernel that is meant to
+    # keep its floats (a plan that skips dead work, a new scratch layout) must
+    # keep these, recorded when the lattice began to smooth x_0
     recorded = {
-        MatrixKind.BT: (10.840081693016641, 0.0016454892468906281,
-                        [4.710392187255163, 1.4192708299685468, 4.710418675792932]),
-        MatrixKind.BH: (9.419950342853568, 0.0012692973596324887, [4.710392187255163, 0.0, 4.709558155598405]),
+        MatrixKind.BT: (10.84194007000114, 0.0005554661295867139,
+                        [4.710131632439484, 1.4217721781809485, 4.710036259380708]),
+        MatrixKind.BH: (9.420382189536863, 8.936641837505946e-05, [4.710131632439484, 0.0, 4.710250557097379]),
     }
     for kind, (value, se, words) in recorded.items():
         est = limit_moment(2, kind, "quadrature", samples=200_000, seed=7, threads=1)
@@ -660,12 +660,15 @@ def test_quadrature_values_are_pinned():
         assert [e["value"] for e in est.params["per_word"]] == words, kind
 
 
+@pytest.mark.parametrize("method", LIMIT_METHODS)
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
-def test_monte_carlo_bar_of_the_pair_word_is_tiny(kind):
-    # aa's weight reads x_0 alone, so the stratified, smoothed root integrates
-    # it as a one-dimensional rule: the bar at 200,000 points is about 5e-7
-    # where iid draws of x_0 gave 1.9e-3, and it still covers the exact 2
-    est = limit_word_moment(AA, kind, "mc-ladder", samples=200_000, seed=3)
+def test_bar_of_the_pair_word_is_tiny(kind, method):
+    # aa's weight reads x_0 alone, so the smoothed root, stratified (Monte
+    # Carlo) or a shifted grid (lattice), integrates it as a one-dimensional
+    # rule: the bar at 200,000 points is about 5e-7 (Monte Carlo) and 1.3e-8
+    # (lattice), where iid draws of x_0 gave 1.9e-3 and the unsmoothed lattice
+    # 1.0e-5, and it still covers the exact 2
+    est = limit_word_moment(AA, kind, method, samples=200_000, seed=3)
     assert 0.0 < est.std_error < 1e-5
     assert abs(est.value - 2.0) <= 4.0 * est.std_error
 
@@ -754,6 +757,17 @@ def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds()
         entries = [entry for e in estimates for entry in e.params["per_word"] if entry["word"] == letters]
         assert len(entries) == len(estimates)
         assert_honest(z_scores([(entry["value"], entry["std_error"]) for entry in entries], reference), letters, bars=5.0)
+
+
+@pytest.mark.parametrize("method", LIMIT_METHODS)
+@pytest.mark.parametrize("kind", [MatrixKind.BT, MatrixKind.BH])
+def test_k3_non_crossing_words_match_the_exact_value_over_seeds(kind, method):
+    # aabbcc = abbcca = int Z^3 = 48 - 2 pi^2 - 12 zeta(3) exactly, under
+    # both patterns.  At 200,000 points over seeds 0-29 the z scores of both
+    # words had sd 0.81-1.20 and reached 3.38
+    for letters, reference in K3_NONCROSSING_WORDS.items():
+        estimates = [limit_word_moment(Word(letters), kind, method, samples=200_000, seed=s) for s in range(12)]
+        assert_honest(z_scores([(e.value, e.std_error) for e in estimates], reference), (letters, method))
 
 
 # --- randomly shifted lattice rule -----------------------------------------
