@@ -36,11 +36,16 @@ trimmed box) or the points of a randomly shifted rank-1 lattice (method
 over the rows of a batch (Owen, ch. 8); the lattice's is a shifted grid.  Both
 smooth it by phi(v) = v^2 (3 - 2v), whose derivative vanishes at both ends,
 where the normalizers are log-singular: the non-crossing words, whose weight
-reads x_0 alone, get bars orders of magnitude narrower.  A coordinate that no
-later form reads is not drawn; its normalizer alone is taken.  Each call of
-the kernel allocates one scratch set sized to a block and reuses it for every
-block, so no block allocates an array, and the module keeps no state but its
-cache of lattice vectors: calls may run side by side in threads.
+reads x_0 alone, get bars orders of magnitude narrower.  The Monte Carlo puts
+the uniforms of its later draws on a jittered block lattice, a Latin
+hypercube whose permutations are a rank-1 lattice in the row of the block
+(Tang, JASA 88, 1993), so they are stratified jointly with x_0's.  A
+coordinate that no later form reads is not drawn: its normalizer alone is
+taken, or, when checked forms read it, it is integrated out in closed form
+over the interval where they hold (conditional Monte Carlo: Owen, ch. 8-10).
+Each call of the kernel allocates one scratch set sized to a block and reuses
+it for every block, so no block allocates an array, and the module keeps no
+state but its cache of lattice vectors: calls may run side by side in threads.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 from .experiments import simulate_spectra
 from .inputs import Distribution, derive_seed
 from .matgen import (
-    MatrixKind, occurrence_counts, occurrence_draw, submatrix_window, trimmed_interval,
+    MatrixKind, occurrence_counts, occurrence_draw, occurrence_integral, submatrix_window, trimmed_interval,
 )
 from .parallel import parallel_map
 from .spectra import moment
@@ -77,7 +82,11 @@ INTEGRAND_BUDGET = 2**30  # bytes: the working set of one batch
 LATTICE_POINT_FLOATS = 13  # float64 values per lattice point, an upper bound on the construction's peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
-_MC_BLOCK = 1 << 13  # rows per Monte Carlo block: its coordinates and forms stay in L2
+_MC_BLOCK = 8191  # rows per Monte Carlo block, a prime: its coordinates and forms stay in L2
+# z of the _MC_BLOCK-point rank-1 lattice that jitters the Monte Carlo's drawn
+# coordinates, _lattice(8191, MAX_K + 1), written out: the FFT that builds it
+# costs about 1 MB of resident memory
+_JITTER = (1, 3457, 1864, 2964, 1208, 2843, 2448, 1327)
 
 
 class Method(Enum):
@@ -115,22 +124,36 @@ class _WordContext:
         self.gen_pairs = [(i - 1, col_of[i]) for i in vertices if i > 0]
         self.needed = sorted({*self.dependent, *(row for row, _ in self.gen_pairs)})  # the forms the integrand reads
         self.k = word.k
-        # The weight kernel's plan (``_weight_on``).  Every coordinate it makes
-        # lies in [lo, hi], so a dependent form that is one coordinate is not
-        # checked.  A step draws its coordinate only when a later step's form
-        # or a checked form reads it; otherwise it takes the normalizer alone,
-        # the previous step's ("same") when its form is the previous step's.
+        # The weight kernel's plan (``_weight_on``), steps (row, col, mode,
+        # covered).  Every coordinate it makes lies in [lo, hi], so a
+        # dependent form that is one coordinate is not checked.  A step draws
+        # its coordinate ("draw") when a later step's form reads it, or a
+        # checked form that also reads a coordinate not yet made.  When only
+        # checked forms read it, and every other coordinate they read is made,
+        # it is integrated out ("cond"): those forms leave ``checks`` and go to
+        # ``covered`` as (coefficient of the coordinate, the rest of the form).
+        # When nothing reads it, the step takes the normalizer alone: the
+        # previous step's ("same") when its form is the previous step's and
+        # that step was not "cond", whose integral overwrites the normalizer,
+        # else its own ("z").
         self.checks = [i for i in self.dependent if sorted(self.coeffs[i]) != [0] * self.k + [1]]
         self.steps = []
-        for j, (row, col) in enumerate(self.gen_pairs):
-            readers = [r for r, _ in self.gen_pairs[j + 1 :]] + self.checks
-            if np.any(self.coeffs[readers, col]):
+        for j, (row, col) in enumerate(self.gen_pairs):  # col = j + 1: the coordinates are made in order
+            readers = [i for i in self.checks if self.coeffs[i, col]]
+            later = [r for r, _ in self.gen_pairs[j + 1 :]]
+            covered = ()
+            if np.any(self.coeffs[later, col]) or np.any(self.coeffs[readers, col + 1 :]):
                 mode = "draw"
-            elif j and np.array_equal(self.coeffs[row], self.coeffs[self.gen_pairs[j - 1][0]]):
+            elif readers:
+                mode = "cond"
+                covered = tuple((int(self.coeffs[i, col]), np.where(np.arange(self.k + 1) == col, 0, self.coeffs[i]))
+                                for i in readers)
+                self.checks = [i for i in self.checks if i not in readers]
+            elif j and self.steps[-1][2] != "cond" and np.array_equal(self.coeffs[row], self.coeffs[self.steps[-1][0]]):
                 mode = "same"
             else:
                 mode = "z"
-            self.steps.append((row, col, mode))
+            self.steps.append((row, col, mode, covered))
 
 
 def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray) -> np.ndarray:
@@ -283,8 +306,9 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 
 def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
                flags: np.ndarray) -> np.ndarray:
-    """Importance weights W / (hi - lo) of one block from its uniforms ``u``,
-    shape (k + 1, rows), drawing its coordinates into ``x`` of the same shape.
+    """Importance weights W / (hi - lo) of one block from its uniforms, u[c]
+    the row of coordinate c for c = 0 and every coordinate a step draws,
+    drawing its coordinates into ``x``, shape (k + 1, rows).
 
     x_0 is lo + (hi - lo) phi(u_0), phi(v) = v^2 (3 - 2v), with the weight
     starting at phi'(v) = 6 v (1 - v), which vanishes at both ends, where
@@ -295,8 +319,15 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     (``matgen.occurrence_draw``), as L_{i-1} reads earlier coordinates only.  W
     is the product of those densities' normalizers Z(L_{i-1}) where every
     dependent form lies in [lo, hi], else 0.  The steps follow ``ctx.steps``:
-    a coordinate no later form reads is not drawn, and its row of ``x`` is
-    left as it was.
+    a coordinate no form reads is not drawn, and only its normalizer is
+    taken.  A coordinate only checked forms read, once the other coordinates
+    they read are made, is integrated out (Owen, ch. 8-10, conditional Monte
+    Carlo): those forms are linear in it, so they lie in [lo, hi] on one
+    interval [a, b], and the step's factor is the density's mass there times
+    Z, the integral of 1 / occ(L_{i-1}, x) over [a, b], a difference of two
+    logarithms (``matgen.occurrence_integral``), in place of Z and the
+    forms' indicator.  The row of ``x`` of a coordinate not drawn is left as
+    it was.
 
     ``work``, six float64 rows, and ``flags``, two boolean rows, are scratch
     it overwrites; the weights are returned in work[0].
@@ -311,10 +342,26 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     product *= form  # phi(v), which float rounding keeps in [0, 1]
     np.multiply(product, hi - lo, out=x[0])
     x[0] += lo  # lo + (hi - lo) t, t in [0, 1], rounds into [lo, hi] on both patterns' intervals
-    for row, col, mode in ctx.steps:
-        if mode != "same":  # else z still holds the previous step's normalizer
-            y = _form(ctx.coeffs[row], x, out=(form, product))
-            occurrence_draw(ctx.link, y, u[col] if mode == "draw" else None, lo, hi, out=(x[col], z, draw_work, flags))
+    for row, col, mode, covered in ctx.steps:
+        if mode == "same":  # z still holds the previous step's normalizer
+            weight *= z
+            continue
+        y = _form(ctx.coeffs[row], x, out=(form, product))
+        if mode == "cond":
+            a, b = draw_work  # x_col's interval, where every covered form lies in [lo, hi]
+            a.fill(lo)
+            b.fill(hi)
+            for coeff, rest in covered:  # lo <= coeff x_col + s <= hi
+                s = _form(rest, x, out=(z, product))
+                lower, upper = (lo, hi) if coeff > 0 else (hi, lo)
+                for end, bound, tighten in ((a, lower, np.maximum), (b, upper, np.minimum)):
+                    np.subtract(bound, s, out=product)
+                    if coeff != 1:
+                        product /= coeff
+                    tighten(end, product, out=end)
+            occurrence_integral(ctx.link, y, draw_work, lo, hi, out=(z, product, flags))
+        else:
+            occurrence_draw(ctx.link, y, None if mode == "z" else u[col], lo, hi, out=(x[col], z, draw_work, flags))
         weight *= z
     outside, above = flags
     for i in ctx.checks:
@@ -398,40 +445,70 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
 
     W is at most log-singular, so eps = 0 needs no trim.  A Monte Carlo batch
     is ceil(samples / batches) rows of the seed's stream, drawn in blocks of
-    ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  Row i
-    of a batch takes u_0 = (i + U_i) / rows, U_i its stream draw, so x_0 is
-    stratified over the batch and the batches stay independent, each mean
-    unbiased.  With ``lattice`` a batch is the ``_lattice_size`` points of the
-    rank-1 lattice under one uniform shift drawn from that stream, whose mean
-    is unbiased too; z[0] = 1 makes its u_0 a shifted grid, which plays the
-    part of the stratified one.  Only the source of the uniforms differs:
-    ``_weight_on`` smooths u_0 alike for both.  The call allocates one scratch
-    set of block rows and reuses it for every block, so no block allocates an
-    array.  The batch means are averaged, not their median taken: W is
-    right-skewed, and the median of skewed means is biased low.
+    ``_MC_BLOCK`` = N rows, a prime: the stream does not depend on how it is
+    cut.  Row i of a batch takes u_0 = (i + U_i) / rows, U_i its stream
+    draw, so x_0 is stratified over the batch.  Each coordinate j a step
+    draws takes u_j = ((r z_j + c_j) mod N + U_j) / N, a Latin hypercube whose
+    permutations are a rank-1 lattice (Tang, JASA 88, 1993): r is the row
+    within its block, z = ``_JITTER``, c_j one shift per block drawn, before
+    any point, from the stream as floor(N U), and U_j the row's own stream
+    uniform.  So every row is uniform on the cube, the later coordinates are
+    stratified jointly with x_0's, and the batches stay independent, each
+    mean unbiased.  A word that draws no coordinate after x_0 draws no shift
+    and still reads all k + 1 uniforms a row, so its recorded floats hold; the
+    others read u_0's and their drawn coordinates' only.  With ``lattice`` a batch
+    is the ``_lattice_size`` points of the rank-1 lattice under one uniform
+    shift drawn from that stream, whose mean is unbiased too; z[0] = 1 makes
+    its u_0 a shifted grid, which plays the part of the stratified one.  Only
+    the source of the uniforms differs: ``_weight_on`` smooths u_0, draws and
+    integrates out alike for both.  The call allocates one scratch set of
+    block rows and reuses it for every block, so no block allocates an array.
+    The batch means are averaged, not their median taken: W is right-skewed,
+    and the median of skewed means is biased low.
     """
     lo, hi = trimmed_interval(ctx.link, eps)
     if batches < 2:
         raise InvalidArgumentError(f"batches must be >= 2 for a standard error, got {batches}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    per_batch = _lattice_size(samples, batches) if lattice else max(1, int(math.ceil(samples / batches)))
+    rows = min(per_batch, _MC_BLOCK)
     if lattice:
-        per_batch = _lattice_size(samples, batches)
         uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
     else:
-        per_batch = max(1, int(math.ceil(samples / batches)))
-        draw = np.empty((min(per_batch, _MC_BLOCK), ctx.k + 1))
-        index = np.arange(draw.shape[0], dtype=float)  # start + r at the block starting at start
+        jittered = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
+        # a word that draws no coordinate after x_0 still draws all k + 1
+        # uniforms a row, so its recorded floats hold; the others draw only
+        # the ones they read
+        cols = [0, *jittered] if jittered else list(range(ctx.k + 1))
+        draw = np.empty((rows, len(cols)))
+        index = np.arange(rows, dtype=float)  # start + r at the block starting at start
+        shifts = rng.random((batches, -(-per_batch // _MC_BLOCK), len(jittered)))  # c_j, before any point
+        shifts *= _MC_BLOCK
+        np.floor(shifts, out=shifts)
 
-        def uniforms(b: int, start: int, m: int) -> np.ndarray:
-            u = rng.random(out=draw[:m]).T
+        def uniforms(b: int, start: int, m: int) -> dict:
+            u = dict(zip(cols, rng.random(out=draw[:m]).T))
             np.add(index, start - index[0], out=index)  # integers, so exact
             np.add(index[:m], u[0], out=u[0])
             u[0] /= per_batch  # row i of the batch: (i + U_i) / per_batch
+            for col, shift in zip(jittered, shifts[b, start // _MC_BLOCK]):
+                # ((i z_j + c_j) mod N + U_j) / N, N = _MC_BLOCK; start is a
+                # multiple of N, so i z_j = r z_j mod N for the block's row r.
+                # t = i z_j + c_j is an integer below 2^40, so t / N rounds
+                # to within 2^-26 of the quotient, whose fraction is 0 or at
+                # least 1 / N: the floor and t mod N are exact
+                t, q = work[-1, :m], work[-2, :m]  # free until the weight is made
+                np.multiply(index[:m], _JITTER[col], out=t)
+                t += shift
+                np.floor(np.divide(t, _MC_BLOCK, out=q), out=q)
+                q *= _MC_BLOCK
+                t -= q
+                u[col] += t
+                u[col] /= _MC_BLOCK
             return u
 
     means = np.empty(batches)
     vals = np.empty(per_batch)
-    rows = min(per_batch, _MC_BLOCK)
     x = np.empty((ctx.k + 1, rows))
     work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
     for b in range(batches):
@@ -452,14 +529,18 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
 
     Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
     Monte Carlo batch needs its ceil(samples / ``BATCHES``) weights, one
-    float64 per row, and at most 2k + 11 more per row of one block of
-    ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms, k + 1
-    coordinate rows, six work rows, two boolean rows and the row of stratum
-    indices; worst tracemalloc peaks of one ``_mc_truncated`` call over the
-    words, a sample of them at k >= 5, with batches of 1,000 and 50,000 rows,
-    less the one per batch row, were 11.9, 14.0, 16.0, 18.1, 20.2, 22.2, 24.5
-    float64 per block row at k = 1..7, the excess over the scratch falling
-    with the block's length).  A
+    float64 per row, at most 2k + 11 more per row of one block of
+    ``_MC_BLOCK`` rows (the call's scratch: at most k + 1 rows of uniforms,
+    k + 1 coordinate rows, six work rows, two boolean rows and the row of
+    stratum indices; the conditional step and the jittered lattice
+    coordinates work in those rows; worst tracemalloc peaks of one
+    ``_mc_truncated`` call over the words, a sample of them at k >= 5, with
+    batches of 1,000 and 50,000 rows, less the one per batch row, were 11.9,
+    13.9, 16.0, 18.0, 20.0, 22.0, 24.0 float64 per block row at k = 1..7, the
+    excess over the scratch falling with the block's length), and the
+    lattice shifts, one float64 per block of every batch for each of at most
+    k - 1 drawn coordinates (the last step's coordinate is never drawn: only
+    checked forms can read it, and those it integrates out).  A
     lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its n =
     ``_lattice_size`` points for the construction of its vector, freed before
     the weights are made (peak resident set 7.7 float64 per point at n =
@@ -473,11 +554,12 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     rows, per_row, per_block, what = -(-samples // BATCHES), 1, 2 * k + 11, "Monte Carlo"
+    shifts = BATCHES * (k - 1) * -(-rows // _MC_BLOCK)
     if method == "quadrature":
-        per_row, per_block, what = LATTICE_POINT_FLOATS, 3 * k + 12, "quadrature"
+        per_row, per_block, shifts, what = LATTICE_POINT_FLOATS, 3 * k + 12, 0, "quadrature"
         if 8 * per_row * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit
             rows = _lattice_size(samples, BATCHES)
-    need = 8 * (per_row * rows + per_block * _MC_BLOCK)
+    need = 8 * (per_row * rows + per_block * _MC_BLOCK + shifts)
     if need > INTEGRAND_BUDGET:
         raise ResourceLimitError(
             f"{what} at k={k} with {samples} samples needs about {need / 2**30:.3g} GiB per batch, "

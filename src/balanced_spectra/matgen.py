@@ -113,16 +113,17 @@ def occurrence_fraction(kind: MatrixKind, x, y):
 
 def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float, out=None):
     """Draw x on [lo, hi] with density 1 / (Z occurrence_fraction(kind, y, x))
-    at the uniforms u in [0, 1), elementwise; return (x, Z).
+    at the uniforms u in [0, 1], elementwise; return (x, Z).
 
     Both patterns read occ = min(c + x, 2 - c - x), with c = y for Hankel and
     1 - y for Toeplitz, kinked at x = 1 - c.  So Z = A - ln(2 - c - hi) with
     A = -ln(c + lo), and the inverse CDF at t = u Z is (c + lo) e^t - c below
-    the kink (t <= A) and 2 - c - e^(A - t) above it.  Where y lies outside
-    [lo, hi] or occ vanishes at an end of it, Z is 0 (and x some point of
-    [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are non-empty
-    arrays of one shape.  With ``u`` None only Z is computed, two logarithms
-    and no exponential, and x is None.
+    the kink (t <= A) and 2 - c - e^(A - t) above it; u = 1 gives hi up to
+    rounding, and the final clip keeps every x in [lo, hi].  Where y lies
+    outside [lo, hi] or occ vanishes at an end of it, Z is 0 (and x some
+    point of [lo, hi]), with no logarithm of 0 taken.  ``y`` and ``u`` are
+    non-empty arrays of one shape.  With ``u`` None only Z is computed, two
+    logarithms and no exponential, and x is None.
 
     ``out`` is (x, z, work, flags): x and z of y's shape receive the result,
     and work (float64) and flags (bool), each two rows of y's shape, are
@@ -158,6 +159,50 @@ def occurrence_draw(kind: MatrixKind, y, u, lo: float, hi: float, out=None):
     np.add(one_minus_c, np.subtract(1.0, e, out=x), out=x)  # above the kink
     np.copyto(x, np.subtract(e, c, out=e), where=below)  # below it
     return np.clip(x, lo, hi, out=x), z
+
+
+def occurrence_integral(kind: MatrixKind, y, ends, lo: float, hi: float, out=None):
+    """The integral of 1 / occurrence_fraction(kind, y, x) over x from a to b,
+    (a, b) = ``ends``, elementwise, for lo <= a and b <= hi.
+
+    With occ = min(c + x, 2 - c - x) as in ``occurrence_draw``, kinked at
+    x = 1 - c, F(x) = ln(c + x) below the kink and -ln(2 - c - x) above it is
+    an antiderivative that is 0 at the kink, so the integral is F(b) - F(a),
+    +-ln occ at each end.  It is 0 where b <= a, where y lies outside
+    [lo, hi] (as ``occurrence_draw``'s Z is) or where occ vanishes at a or b,
+    with no logarithm of 0 taken.  ``ends``, two float64 rows of y's shape,
+    is overwritten; ``y`` is only read.
+
+    ``out`` is (z, work, flags): z of y's shape receives the integral, and
+    work (float64, y's shape) and flags (bool, two rows of y's shape) are
+    scratch.  None of them may share memory with y or ``ends``.  Without
+    ``out`` fresh arrays are used; either way every element is the same float.
+    """
+    if out is None:
+        shape = np.shape(y)
+        out = np.empty(shape), np.empty(shape), np.empty((2, *shape), dtype=bool)
+    z, flip, (bad, above) = out
+    np.subtract(1.0, y, out=flip)
+    c, one_minus_c = (y, flip) if kind.link is MatrixKind.H else (flip, y)
+    np.less_equal(ends[1], ends[0], out=bad)
+    if y.min() < lo or y.max() > hi:
+        bad |= np.less(y, lo, out=above)
+        bad |= np.greater(y, hi, out=above)
+    for end in ends:  # end becomes F(end)
+        np.add(c, end, out=z)  # occ below the kink
+        np.subtract(1.0, end, out=end)
+        end += one_minus_c  # occ above it
+        if z.min() <= 0.0 or end.min() <= 0.0:  # a bad row, or occ vanishing at this end
+            bad |= np.less_equal(z, 0.0, out=above)
+            bad |= np.less_equal(end, 0.0, out=above)
+        np.greater(z, end, out=above)
+        np.minimum(z, end, out=end)
+        np.copyto(end, 1.0, where=bad)
+        np.log(end, out=end)
+        np.negative(end, out=end, where=above)
+    np.subtract(ends[1], ends[0], out=z)
+    np.copyto(z, 0.0, where=bad)
+    return z
 
 
 def check_matrix_budget(n: int) -> None:

@@ -26,7 +26,14 @@ Provenance:
     1994): total 10.84053 +- 4.2e-4 at 2.1M points per word, ``aabb``
     4.710127 +- 7.0e-6 and ``abab`` 1.420368 +- 4.2e-5 at 16M points.
   ``abab``'s two routes differ by 1.1e-4, which is not resolved; its spread
-  covers both, and the Toeplitz total's spread covers it.
+  covers both, and the Toeplitz total's spread covers it.  Since ``abab``'s
+  last coordinate is integrated out in closed form, and the Monte Carlo's
+  later draws lie on a jittered block lattice, both methods read it as
+  1.42026 at 2M points per word: over seeds 0-5 the Monte Carlo read
+  1.420256-1.420276 (mean 1.420265) and the lattice 1.420253-1.420269
+  (mean 1.420261), with bars of 5e-6 to 9e-6; so the Toeplitz total reads
+  10.84053, and the gap closes toward the oracle's range.  The value and
+  spread are not moved, since the same kernel would be grading itself.
 * k = 2, Hankel: ``abab`` vanishes and ``aabb`` and ``abba`` are the
   Toeplitz ``aabb`` integral, so the total is exactly 16 - 2 pi^2 / 3 =
   9.4202637326 (the lattice rule gave 9.42043 +- 2.6e-4).

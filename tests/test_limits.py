@@ -407,30 +407,81 @@ def _reference_draw(kind, y, u, lo, hi):
     return np.clip(x, lo, hi, out=x), z
 
 
+def _reference_integral(kind, y, a, b, lo, hi):
+    """``matgen.occurrence_integral`` as a fresh-array expression: F(b) - F(a)
+    with F = ln occ below the kink and -ln occ above it, 0 on the rows where
+    the interval is empty, y is off the axis or occ vanishes at an end."""
+    c, one_minus_c = (y, 1.0 - y) if kind.link is MatrixKind.H else (1.0 - y, y)
+    below = [c + a, c + b]
+    above = [one_minus_c + (1.0 - a), one_minus_c + (1.0 - b)]
+    bad = (b <= a) | (y < lo) | (y > hi)
+    for left, right in zip(below, above):
+        bad |= (left <= 0.0) | (right <= 0.0)
+    ends = []
+    for left, right in zip(below, above):
+        occ = np.minimum(left, right)
+        occ[bad] = 1.0
+        ends.append(np.where(left > right, -np.log(occ), np.log(occ)))
+    return np.where(bad, 0.0, ends[1] - ends[0])
+
+
 def _reference_mc(ctx, eps, samples, batches, seed):
-    """The importance-sampled estimate on whole batches: ``rng.random`` draws
-    of the batch's shape, u_0 stratified to (i + U_i) / rows in row i and
-    smoothed by phi(v) = v^2 (3 - 2v) with weight phi'(v) = 6 v (1 - v), each
-    form summed over all its columns, every coordinate drawn by
-    ``_reference_draw`` over the whole batch, and the mean of the batch
-    means."""
+    """The importance-sampled estimate on whole batches.  The shifts c_j of
+    every block come first, then each batch's ``rng.random`` draws, one row a
+    point: all k + 1 uniforms for a word that draws no coordinate, else u_0's
+    and those of the drawn coordinates.  Row i takes u_0 = (i + U_i) / rows,
+    smoothed by phi(v) = v^2 (3 - 2v) with weight phi'(v) = 6 v (1 - v), and
+    u_j = ((i z_j + c_j) mod N + U_j) / N in integer arithmetic, N the
+    block's length and c_j its block's shift.  Each form is summed over all
+    its columns; a drawn coordinate comes from ``_reference_draw``, a
+    coordinate integrated out from ``_reference_integral`` over the interval
+    where every dependent form that reads it lies in [lo, hi], and the other
+    dependent forms of more than one term are checked; the result is the mean
+    of the batch means."""
     lo, hi = trimmed_interval(ctx.link, eps)
+    n = limits_module._MC_BLOCK
+    z = limits_module._JITTER
     per_batch = max(1, math.ceil(samples / batches))
     rng = np.random.Generator(np.random.PCG64(seed))
+    drawn = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
+    integrated = [col for _, col, mode, _ in ctx.steps if mode == "cond"]
+    cols = [0, *drawn] if drawn else list(range(ctx.k + 1))
+    if drawn:
+        shifts = np.floor(rng.random((batches, -(-per_batch // n), len(drawn))) * n).astype(np.int64)
+    i = np.arange(per_batch)
     means = np.empty(batches)
-    for b in range(batches):
-        u = rng.random((per_batch, ctx.k + 1)).T
-        v = (np.arange(per_batch) + u[0]) / per_batch
-        x = np.zeros(u.shape)
+
+    def form(coeffs, x):
+        return sum(c * x[j] for j, c in enumerate(coeffs))
+
+    for batch in range(batches):
+        u = dict(zip(cols, rng.random((per_batch, len(cols))).T))
+        for j, col in enumerate(drawn):
+            u[col] = ((i * z[col] + shifts[batch, i // n, j]) % n + u[col]) / n
+        v = (i + u[0]) / per_batch
+        x = np.zeros((ctx.k + 1, per_batch))
         x[0] = lo + (hi - lo) * (v * v * (3.0 - 2.0 * v))
         weight = 6.0 * v * (1.0 - v)
         for row, col in ctx.gen_pairs:
-            x[col], z = _reference_draw(ctx.link, sum(c * x[j] for j, c in enumerate(ctx.coeffs[row])), u[col], lo, hi)
-            weight *= z
-        for i in ctx.dependent:
-            form = sum(c * x[j] for j, c in enumerate(ctx.coeffs[i]))
-            weight[(form < lo) | (form > hi)] = 0.0
-        means[b] = weight.mean()
+            y = form(ctx.coeffs[row], x)
+            if col in integrated:
+                a, b = np.full(per_batch, lo), np.full(per_batch, hi)
+                for f in ctx.dependent:
+                    if coeff := ctx.coeffs[f, col]:  # lo <= coeff x_col + s <= hi
+                        s = form(np.where(np.arange(ctx.k + 1) == col, 0, ctx.coeffs[f]), x)
+                        lower, upper = ((lo - s) / coeff, (hi - s) / coeff)[:: 1 if coeff > 0 else -1]
+                        a, b = np.maximum(a, lower), np.minimum(b, upper)
+                weight *= _reference_integral(ctx.link, y, a, b, lo, hi)
+            elif col in drawn:
+                x[col], normalizer = _reference_draw(ctx.link, y, u[col], lo, hi)
+                weight *= normalizer
+            else:  # no form reads x_col: its normalizer alone, at any uniforms
+                weight *= _reference_draw(ctx.link, y, v, lo, hi)[1]
+        for f in ctx.dependent:  # a form that is one coordinate lies in [lo, hi]
+            if np.count_nonzero(ctx.coeffs[f]) > 1 and not any(ctx.coeffs[f, col] for col in integrated):
+                value = form(ctx.coeffs[f], x)
+                weight[(value < lo) | (value > hi)] = 0.0
+        means[batch] = weight.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
@@ -448,6 +499,17 @@ def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
             for eps, rows in itertools.product((0.0, 0.1), (1, 2, block, block + 1, 2 * block + 3)):
                 seed = 7 * rows + k
                 assert _mc_truncated(ctx, eps, 2 * rows - 1, 2, seed) == _reference_mc(ctx, eps, 2 * rows - 1, 2, seed)
+
+
+@pytest.mark.parametrize("kind", list(MatrixKind))
+def test_monte_carlo_keeps_the_stream_of_words_that_draw_nothing(kind):
+    # aa and aabb weigh x_0 alone: they draw no shifts and still read all
+    # k + 1 uniforms a row, so their floats are those recorded before the
+    # lattice jitter and the conditional step
+    recorded = {"aa": (1.999999663197097, 4.937272634823394e-07), "aabb": (4.71013265855451, 4.405824172476943e-06)}
+    for letters, (value, se) in recorded.items():
+        est = limit_word_moment(Word(letters), kind, "mc-ladder", samples=200_000, seed=3)
+        assert (est.value, est.std_error) == (value, se), letters
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -484,18 +546,21 @@ def test_in_place_draw_leaves_no_stale_scratch(kind, eps):
 
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_weights_stay_finite_at_the_extreme_uniforms(kind):
-    # rng.random returns values in [0, 1 - 2^-53], 0 included: at eps = 0 a
+    # rng.random returns values in [0, 1 - 2^-53], 0 included, and a jittered
+    # lattice coordinate (8190 + U) / 8191 rounds to 1 at the top: at eps = 0 a
     # coordinate at 0 or 1 makes the next factor's occurrence vanish at an end
     # of the axis, which must give weight 0 before any log(0), and the inverse
     # CDF must keep every coordinate it draws inside the axis (the smoothed
-    # x_0 and the steps marked "draw"; the others' rows are left as they were)
+    # x_0 and the steps marked "draw"; the others' rows are left as they
+    # were), and the closed-form integral of a "cond" step must take no
+    # logarithm of 0 either
     lo, hi = trimmed_interval(kind, 0.0)
     for k in (1, 2, 3):
-        u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53), repeat=k + 1))).T
+        u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53, 1.0), repeat=k + 1))).T
         rows = u.shape[1]
         for word in enumerate_pair_matched_words(k):
             ctx = _WordContext(word, kind)
-            drawn = [0] + [col for _, col, mode in ctx.steps if mode == "draw"]
+            drawn = [0] + [col for _, col, mode, _ in ctx.steps if mode == "draw"]
             x = np.full_like(u, np.nan)
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
@@ -534,9 +599,10 @@ def test_monte_carlo_budget_guard(monkeypatch):
 
 
 def test_monte_carlo_guard_bounds_the_peak():
-    # one call's tracemalloc peak against 1 float64 per row of a batch and
-    # 2k + 11 per row of one block, no longer than the batch (_plan counts a
-    # whole block), at a batch below one block and at one of several; the
+    # one call's tracemalloc peak against 1 float64 per row of a batch, 2k + 11
+    # per row of one block, no longer than the batch (_plan counts a whole
+    # block), and one per block and drawn coordinate, at most k - 1, for the
+    # lattice shifts, at a batch below one block and at one of several; the
     # words differ in how many forms and draws they make, so every word up to
     # k = 3 and a fifth of those at k = 4
     _mc_truncated(_WordContext(AA, MatrixKind.T), 0.0, 200, 2, 0)  # numpy's one-time allocations
@@ -550,7 +616,8 @@ def test_monte_carlo_guard_bounds_the_peak():
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * (rows + (2 * k + 11) * block), (kind, rows, word, peak / 8)
+            shifts = 2 * (k - 1) * -(-rows // limits_module._MC_BLOCK)  # the lattice shifts of both batches
+            assert peak <= 8 * (rows + (2 * k + 11) * block + shifts), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
@@ -645,14 +712,15 @@ def test_quadrature_bar_covers_the_exact_pair_integral(kind):
 
 
 def test_quadrature_values_are_pinned():
-    # the lattice path is the Monte Carlo's weight kernel, smoothed root
-    # included, on other uniforms, so a change to the kernel that is meant to
-    # keep its floats (a plan that skips dead work, a new scratch layout) must
-    # keep these, recorded when the lattice began to smooth x_0
+    # the lattice path is the Monte Carlo's weight kernel, smoothed root and
+    # conditional step included, on other uniforms, so a change to the kernel
+    # that is meant to keep its floats (a plan that skips dead work, a new
+    # scratch layout) must keep these, recorded when abab's last coordinate
+    # began to be integrated out in closed form and blocks became 8191 rows
     recorded = {
-        MatrixKind.BT: (10.84194007000114, 0.0005554661295867139,
-                        [4.710131632439484, 1.4217721781809485, 4.710036259380708]),
-        MatrixKind.BH: (9.420382189536863, 8.936641837505946e-05, [4.710131632439484, 0.0, 4.710250557097379]),
+        MatrixKind.BT: (10.8404993574878, 0.00011439020713174336,
+                        [4.710131632439484, 1.4203314656676094, 4.710036259380708]),
+        MatrixKind.BH: (9.420382189536864, 8.936641837503392e-05, [4.710131632439484, 0.0, 4.71025055709738]),
     }
     for kind, (value, se, words) in recorded.items():
         est = limit_moment(2, kind, "quadrature", samples=200_000, seed=7, threads=1)
@@ -792,6 +860,15 @@ def test_lattice_vector_is_deterministic_and_made_of_units():
         assert z[0] == 1 and all(0 < c < n and math.gcd(int(c), n) == 1 for c in z), (n, z)
     # component by component: a longer vector extends the shorter one
     assert np.array_equal(_lattice(12503, 8)[:3], _lattice(12503, 3))
+
+
+def test_jitter_vector_is_the_block_lattice():
+    # the Monte Carlo's block lattice is written out; it is the construction's
+    # vector for a block of _MC_BLOCK rows, a prime, in every dimension the
+    # words reach
+    n = limits_module._MC_BLOCK
+    assert n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert limits_module._JITTER == tuple(_lattice.__wrapped__(n, MAX_K + 1).tolist())
 
 
 def test_lattice_rule_integrates_a_smooth_periodic_product():

@@ -15,6 +15,7 @@ from balanced_spectra.matgen import (
     occurrence_counts,
     occurrence_draw,
     occurrence_fraction,
+    occurrence_integral,
     principal_submatrix,
     trimmed_interval,
 )
@@ -59,6 +60,75 @@ def test_occurrence_draw_normalizer_and_its_zeros(kind):
         assert np.all((x >= lo) & (x <= hi))
         assert np.all(z[[0, 3, 4]] == 0.0) and np.all(np.isfinite(z))
         assert np.all((z[1:3] > 0.0) == (eps > 0.0))
+
+
+def _gauss_legendre(kind, y, a, b, nodes=30):
+    """The integral of 1 / occurrence_fraction(kind, y, x) over [a, b] by
+    Gauss-Legendre rules, split at the kink and on each side on panels graded
+    geometrically (ratio 1/4) toward both ends, where occ may be small."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    kink = y if kind.link is MatrixKind.T else 1.0 - y
+    cuts = np.array(sorted({0.0, 1.0, *(0.5 * 0.25**j for j in range(30)), *(1.0 - 0.5 * 0.25**j for j in range(30))}))
+    total = 0.0
+    for p, q in ((a, min(b, kink)), (max(a, kink), b)):
+        for s0, s1 in zip(p + (q - p) * cuts[:-1], p + (q - p) * cuts[1:]) if q > p else ():
+            x = (s0 + s1) / 2.0 + (s1 - s0) / 2.0 * t
+            total += (s1 - s0) / 2.0 * float(np.sum(w / occurrence_fraction(kind, y, x)))
+    return total
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_occurrence_integral_matches_gauss_legendre(kind, eps):
+    # the closed form F(b) - F(a) of the Monte Carlo's conditional step against
+    # quadrature of the occurrence fraction itself, on intervals on either
+    # side of the kink and across it, the whole axis (where it is Z) included
+    lo, hi = trimmed_interval(kind, eps)
+    cases = []
+    for y in (lo + 0.01, 0.3, 0.5, 0.77, hi - 0.02):
+        kink = y if kind.link is MatrixKind.T else 1.0 - y
+        for a, b in ((lo, hi), (kink - 0.2, kink + 0.1), (kink - 0.03, kink + 0.3), (lo + 0.1, kink - 0.05),
+                     (kink + 0.01, hi), (kink - 1e-3, kink + 2e-3)):
+            a, b = max(a, lo), min(b, hi)
+            if b > a:
+                cases.append((y, a, b, a < kink < b))
+    y, a, b, straddles = map(np.array, zip(*cases))
+    assert np.count_nonzero(straddles) >= 10 and np.count_nonzero(~straddles) >= 8
+    with np.errstate(all="raise"):
+        got = occurrence_integral(kind, y, np.array([a, b]), lo, hi)
+    want = [_gauss_legendre(kind, *case[:3]) for case in cases]
+    assert got == pytest.approx(want, rel=1e-12)
+    whole = (a == lo) & (b == hi)
+    assert got[whole] == pytest.approx(occurrence_draw(kind, y[whole], np.full(np.count_nonzero(whole), 0.5), lo, hi)[1],
+                                       rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_occurrence_integral_zeros_and_extremes(kind):
+    # 0 where the interval is empty (b <= a, a past hi or b short of lo) or y
+    # is off the axis, and where occ vanishes at an end (at eps = 0, y = 0 or 1
+    # on the whole axis), with no warning; elsewhere finite and positive, the
+    # fresh-array call giving the same floats as the one into scratch (an
+    # interval of 2^-60 may round to 0: F(b) - F(a) cancels)
+    for eps in (0.0, 0.1):
+        lo, hi = trimmed_interval(kind, eps)
+        ys = (lo - 0.01, hi + 0.01, -np.inf, np.inf, 0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0)
+        ends = ((lo, hi), (lo, lo), (0.6, 0.4), (hi + 0.3, hi), (lo, lo - 0.2), (lo, 2.0**-60), (hi - 2.0**-53, hi))
+        y, a, b = map(np.array, zip(*((y, a, b) for y in ys for a, b in ends)))
+        rows = y.size
+        z, work, flags = np.full(rows, np.nan), np.full(rows, np.nan), np.zeros((2, rows), dtype=bool)
+        scratch = np.array([a, b])
+        with np.errstate(all="raise"):
+            got = occurrence_integral(kind, y, scratch, lo, hi, out=(z, work, flags))
+            fresh = occurrence_integral(kind, y.copy(), np.array([a, b]), lo, hi)
+        assert got is z and np.array_equal(got, fresh)
+        assert np.all(np.isfinite(got) & (got >= 0.0))
+        off = (y < lo) | (y > hi) | (b <= a)
+        assert np.all(got[off] == 0.0)
+        c, one_minus_c = (y, 1.0 - y) if kind.link is MatrixKind.H else (1.0 - y, y)
+        vanishing = ((a == lo) & (c + lo == 0.0)) | ((b == hi) & (one_minus_c + (1.0 - hi) == 0.0))
+        assert np.all(got[vanishing] == 0.0) and np.count_nonzero(vanishing & ~off) == (4 if eps == 0.0 else 0)
+        assert np.all(got[~off & ~vanishing & (b - a > 1e-9)] > 0.0)
 
 
 def test_occurrence_corner_entries():
