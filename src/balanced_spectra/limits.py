@@ -39,8 +39,9 @@ where the normalizers are log-singular: the non-crossing words, whose weight
 reads x_0 alone, get bars orders of magnitude narrower.  The Monte Carlo puts
 the uniforms of its later draws on a jittered block lattice, a Latin
 hypercube whose permutations are a rank-1 lattice in the row of the block
-(Tang, JASA 88, 1993), so they are stratified jointly with x_0's.  A
-coordinate that no later form reads is not drawn: its normalizer alone is
+(Tang, JASA 88, 1993), so they are stratified jointly with x_0's.  Both
+point sets give every point k + 1 uniforms.  A coordinate that no later form
+reads is not drawn, and its uniform goes unread: its normalizer alone is
 taken, or, when checked forms read it, it is integrated out in closed form
 over the interval where they hold (conditional Monte Carlo: Owen, ch. 8-10).
 Each call of the kernel allocates one scratch set sized to a block and reuses
@@ -306,9 +307,9 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 
 def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
                flags: np.ndarray) -> np.ndarray:
-    """Importance weights W / (hi - lo) of one block from its uniforms, u[c]
-    the row of coordinate c for c = 0 and every coordinate a step draws,
-    drawing its coordinates into ``x``, shape (k + 1, rows).
+    """Importance weights W / (hi - lo) of one block from its uniforms u,
+    shape (k + 1, rows), row c coordinate c's, drawing its coordinates into
+    ``x`` of the same shape.
 
     x_0 is lo + (hi - lo) phi(u_0), phi(v) = v^2 (3 - 2v), with the weight
     starting at phi'(v) = 6 v (1 - v), which vanishes at both ends, where
@@ -454,10 +455,9 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     any point, from the stream as floor(N U), and U_j the row's own stream
     uniform.  So every row is uniform on the cube, the later coordinates are
     stratified jointly with x_0's, and the batches stay independent, each
-    mean unbiased.  A word that draws no coordinate after x_0 draws no shift
-    and still reads all k + 1 uniforms a row, so its recorded floats hold; the
-    others read u_0's and their drawn coordinates' only.  With ``lattice`` a batch
-    is the ``_lattice_size`` points of the rank-1 lattice under one uniform
+    mean unbiased.  Every row reads all k + 1 uniforms of the stream, whichever
+    coordinates its word draws.  With ``lattice`` a batch is the
+    ``_lattice_size`` points of the rank-1 lattice under one uniform
     shift drawn from that stream, whose mean is unbiased too; z[0] = 1 makes
     its u_0 a shifted grid, which plays the part of the stratified one.  Only
     the source of the uniforms differs: ``_weight_on`` smooths u_0, draws and
@@ -476,18 +476,14 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
         uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
     else:
         jittered = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
-        # a word that draws no coordinate after x_0 still draws all k + 1
-        # uniforms a row, so its recorded floats hold; the others draw only
-        # the ones they read
-        cols = [0, *jittered] if jittered else list(range(ctx.k + 1))
-        draw = np.empty((rows, len(cols)))
+        draw = np.empty((rows, ctx.k + 1))
         index = np.arange(rows, dtype=float)  # start + r at the block starting at start
         shifts = rng.random((batches, -(-per_batch // _MC_BLOCK), len(jittered)))  # c_j, before any point
         shifts *= _MC_BLOCK
         np.floor(shifts, out=shifts)
 
-        def uniforms(b: int, start: int, m: int) -> dict:
-            u = dict(zip(cols, rng.random(out=draw[:m]).T))
+        def uniforms(b: int, start: int, m: int) -> np.ndarray:
+            u = rng.random(out=draw[:m]).T
             np.add(index, start - index[0], out=index)  # integers, so exact
             np.add(index[:m], u[0], out=u[0])
             u[0] /= per_batch  # row i of the batch: (i + U_i) / per_batch
@@ -530,7 +526,7 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
     Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
     Monte Carlo batch needs its ceil(samples / ``BATCHES``) weights, one
     float64 per row, at most 2k + 11 more per row of one block of
-    ``_MC_BLOCK`` rows (the call's scratch: at most k + 1 rows of uniforms,
+    ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms,
     k + 1 coordinate rows, six work rows, two boolean rows and the row of
     stratum indices; the conditional step and the jittered lattice
     coordinates work in those rows; worst tracemalloc peaks of one

@@ -15,25 +15,23 @@ Provenance:
   integral of Z^2 (for ``abba`` after the inner integral over the root, by
   the kernel's symmetry); Hankel's kernel maps onto Toeplitz's by reflecting
   every odd-depth vertex.  Their spread is rounding only.
-* k = 2, Toeplitz ``abab``, two routes that agree:
-  - the exact finite-n oracle (``finite_n_word_moment``) at n = 25 .. 400,
-    extrapolated in n with fits in {1, 1/n, ln n / n}, with and without
-    1/n^2 and ln^2 n / n: total 10.8400 .. 10.8409, ``aabb`` (= ``abba``)
-    4.71007 .. 4.71013, ``abab`` 1.42020 .. 1.42026 (Sidi, *Practical
-    Extrapolation Methods*, CUP 2003);
-  - a randomly shifted rank-1 lattice rule on the importance weight, 16
-    shifts (Sloan & Joe, *Lattice Methods for Multiple Integration*, OUP
-    1994): total 10.84053 +- 4.2e-4 at 2.1M points per word, ``aabb``
-    4.710127 +- 7.0e-6 and ``abab`` 1.420368 +- 4.2e-5 at 16M points.
-  ``abab``'s two routes differ by 1.1e-4, which is not resolved; its spread
-  covers both, and the Toeplitz total's spread covers it.  Since ``abab``'s
-  last coordinate is integrated out in closed form, and the Monte Carlo's
-  later draws lie on a jittered block lattice, both methods read it as
-  1.42026 at 2M points per word: over seeds 0-5 the Monte Carlo read
-  1.420256-1.420276 (mean 1.420265) and the lattice 1.420253-1.420269
-  (mean 1.420261), with bars of 5e-6 to 9e-6; so the Toeplitz total reads
-  10.84053, and the gap closes toward the oracle's range.  The value and
-  spread are not moved, since the same kernel would be grading itself.
+* k = 2, Toeplitz ``abab``: exactly 8 - 2 pi^2 / 3 = 1.4202637326, so the
+  Toeplitz total is 2 (8 - pi^2 / 3) + 8 - 2 pi^2 / 3 = 24 - 4 pi^2 / 3 =
+  10.8405274652.  A Toeplitz factor 1 / (1 - |x_j - L_{j-1}|) reads only the
+  difference d_j = x_j - L_{j-1}, and every vertex of the walk is x_0 plus
+  an affine function of d, so x_0 integrates out to the length of the
+  interval on which every vertex lies in [0, 1].  For ``abab`` that length
+  is (1 - |d_1| - |d_2|)_+, and the word is the integral of
+  (1 - |d_1| - |d_2|)_+ / ((1 - |d_1|)(1 - |d_2|)) over (-1, 1)^2.  By the
+  symmetry of the four quadrants it is 4 times the integral over s, t >= 0
+  with s + t <= 1.  The inner integral over t is (1 - s + s ln s) / (1 - s)
+  = 1 + s ln s / (1 - s), and int_0^1 s ln s / (1 - s) ds =
+  sum_n int_0^1 s^n ln s ds = -sum_n 1 / (n + 1)^2 = 1 - pi^2 / 6, so the
+  word is 4 (2 - pi^2 / 6).  A test recomputes it from the 2-D integrand
+  (``test_abab_is_its_difference_integral``).  The finite-n oracle
+  extrapolated in n (fits in {1, 1/n, ln n / n} at n = 25 .. 400) read
+  1.42020 .. 1.42026, and the rank-1 lattice rule before x_0 was smoothed
+  1.420368 +- 4.2e-5, 2.5 bars high.  Its spread is rounding only.
 * k = 2, Hankel: ``abab`` vanishes and ``aabb`` and ``abba`` are the
   Toeplitz ``aabb`` integral, so the total is exactly 16 - 2 pi^2 / 3 =
   9.4202637326 (the lattice rule gave 9.42043 +- 2.6e-4).
@@ -59,6 +57,7 @@ import math
 
 ZETA3 = 1.2020569031595942  # Apery's constant zeta(3)
 AABB = 8.0 - math.pi**2 / 3.0  # aabb = abba at k = 2, either pattern
+ABAB = 8.0 - 2.0 * math.pi**2 / 3.0  # abab at k = 2, Toeplitz
 AABBCC = 48.0 - 2.0 * math.pi**2 - 12.0 * ZETA3  # aabbcc = abbcca at k = 3, either pattern
 ROUNDING = 1e-15  # the spread of a closed form evaluated in float64
 
@@ -66,7 +65,7 @@ ROUNDING = 1e-15  # the spread of a closed form evaluated in float64
 TOTALS = {
     (1, "t"): (2.0, 0.0),
     (1, "h"): (2.0, 0.0),
-    (2, "t"): (10.8405, 5e-4),
+    (2, "t"): (2.0 * AABB + ABAB, ROUNDING),
     (2, "h"): (2.0 * AABB, ROUNDING),
     (3, "t"): (88.267, 0.013),  # lattice only
     (3, "h"): (66.046, 0.007),  # lattice only
@@ -75,7 +74,7 @@ TOTALS = {
 # word -> (value, spread) of its Toeplitz contribution at k = 2
 TOEPLITZ_K2_WORDS = {
     "aabb": (AABB, ROUNDING),
-    "abab": (1.4203, 2e-4),
+    "abab": (ABAB, ROUNDING),
     "abba": (AABB, ROUNDING),
 }
 

@@ -427,17 +427,17 @@ def _reference_integral(kind, y, a, b, lo, hi):
 
 def _reference_mc(ctx, eps, samples, batches, seed):
     """The importance-sampled estimate on whole batches.  The shifts c_j of
-    every block come first, then each batch's ``rng.random`` draws, one row a
-    point: all k + 1 uniforms for a word that draws no coordinate, else u_0's
-    and those of the drawn coordinates.  Row i takes u_0 = (i + U_i) / rows,
-    smoothed by phi(v) = v^2 (3 - 2v) with weight phi'(v) = 6 v (1 - v), and
-    u_j = ((i z_j + c_j) mod N + U_j) / N in integer arithmetic, N the
-    block's length and c_j its block's shift.  Each form is summed over all
-    its columns; a drawn coordinate comes from ``_reference_draw``, a
-    coordinate integrated out from ``_reference_integral`` over the interval
-    where every dependent form that reads it lies in [lo, hi], and the other
-    dependent forms of more than one term are checked; the result is the mean
-    of the batch means."""
+    every block come first, then each batch's ``rng.random`` draws, one row of
+    k + 1 uniforms a point, whichever coordinates the word draws.  Row i takes
+    u_0 = (i + U_i) / rows, smoothed by phi(v) = v^2 (3 - 2v) with weight
+    phi'(v) = 6 v (1 - v), and u_j = ((i z_j + c_j) mod N + U_j) / N in
+    integer arithmetic, N the block's length and c_j its block's shift, for
+    each drawn coordinate j.  Each form is summed over all its columns; a
+    drawn coordinate comes from ``_reference_draw``, a coordinate integrated
+    out from ``_reference_integral`` over the interval where every dependent
+    form that reads it lies in [lo, hi], and the other dependent forms of
+    more than one term are checked; the result is the mean of the batch
+    means."""
     lo, hi = trimmed_interval(ctx.link, eps)
     n = limits_module._MC_BLOCK
     z = limits_module._JITTER
@@ -445,9 +445,7 @@ def _reference_mc(ctx, eps, samples, batches, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     drawn = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
     integrated = [col for _, col, mode, _ in ctx.steps if mode == "cond"]
-    cols = [0, *drawn] if drawn else list(range(ctx.k + 1))
-    if drawn:
-        shifts = np.floor(rng.random((batches, -(-per_batch // n), len(drawn))) * n).astype(np.int64)
+    shifts = np.floor(rng.random((batches, -(-per_batch // n), len(drawn))) * n).astype(np.int64)
     i = np.arange(per_batch)
     means = np.empty(batches)
 
@@ -455,7 +453,7 @@ def _reference_mc(ctx, eps, samples, batches, seed):
         return sum(c * x[j] for j, c in enumerate(coeffs))
 
     for batch in range(batches):
-        u = dict(zip(cols, rng.random((per_batch, len(cols))).T))
+        u = rng.random((per_batch, ctx.k + 1)).T
         for j, col in enumerate(drawn):
             u[col] = ((i * z[col] + shifts[batch, i // n, j]) % n + u[col]) / n
         v = (i + u[0]) / per_batch
@@ -503,9 +501,10 @@ def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
 def test_monte_carlo_keeps_the_stream_of_words_that_draw_nothing(kind):
-    # aa and aabb weigh x_0 alone: they draw no shifts and still read all
-    # k + 1 uniforms a row, so their floats are those recorded before the
-    # lattice jitter and the conditional step
+    # aa and aabb weigh x_0 alone and draw no shifts.  Their floats were
+    # recorded before the lattice jitter and the conditional step, and they
+    # held when the words that draw went over to reading all k + 1 uniforms a
+    # row too: the one stream layout left these words alone
     recorded = {"aa": (1.999999663197097, 4.937272634823394e-07), "aabb": (4.71013265855451, 4.405824172476943e-06)}
     for letters, (value, se) in recorded.items():
         est = limit_word_moment(Word(letters), kind, "mc-ladder", samples=200_000, seed=3)
@@ -825,6 +824,35 @@ def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds()
         entries = [entry for e in estimates for entry in e.params["per_word"] if entry["word"] == letters]
         assert len(entries) == len(estimates)
         assert_honest(z_scores([(entry["value"], entry["std_error"]) for entry in entries], reference), letters, bars=5.0)
+
+
+def test_abab_is_its_difference_integral():
+    # in the differences d_j = x_j - L_{j-1}, x_0 integrates out of Toeplitz
+    # abab to (1 - |d_1| - |d_2|)_+ over the factors' product (see
+    # tests/limit_references.py).  The integrand has kinks on the axes and on
+    # |d_1| + |d_2| = 1, and takes every value in [0, 1] near (+-1, 0) and
+    # (0, +-1): 80 x 80-point tensor Gauss-Legendre is off by 2.4e-3 on the
+    # square and by 5.1e-4 quadrant by quadrant.
+    # So each quadrant's triangle is split at the midpoint of its hypotenuse
+    # into two triangles, each collapsed onto its corner at (1, 0) or (0, 1)
+    # (Duffy, SIAM J. Numer. Anal. 19, 1982): there the integrand is smooth,
+    # and 16 x 16 points per triangle reach float64 rounding
+    def integrand(d1, d2):
+        a1, a2 = np.abs(d1), np.abs(d2)
+        return np.maximum(1.0 - a1 - a2, 0.0) / ((1.0 - a1) * (1.0 - a2))
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    u, v = np.meshgrid((nodes + 1.0) / 2.0, (nodes + 1.0) / 2.0, indexing="ij")
+    w = np.outer(weights, weights) / 4.0
+    mid = np.array([0.5, 0.5])
+    total = 0.0
+    for corner in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+        # corner + u ((0 - corner) + v (mid - 0)), Jacobian u |det(-corner, mid)| = u / 2
+        x = corner[:, None, None] * (1.0 - u) + (u * v) * mid[:, None, None]
+        for sign1, sign2 in itertools.product((1.0, -1.0), repeat=2):
+            total += float(np.sum(w * u / 2.0 * integrand(sign1 * x[0], sign2 * x[1])))
+    value, spread = TOEPLITZ_K2_WORDS["abab"]
+    assert abs(total - value) <= 1e-10 + spread, total - value
 
 
 @pytest.mark.parametrize("method", LIMIT_METHODS)
