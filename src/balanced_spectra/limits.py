@@ -19,7 +19,8 @@ Three evaluation routes are provided and cross-checked against each other:
   rotation/reflection class of words), the finite-size oracle.
 * ``truncated_word_moment`` -- the integral restricted to an eps-trimmed box
   where the integrand is bounded by eps^-k.
-* ``limit_word_moment`` -- the eps = 0 value.
+* ``limit_word_moment`` -- the eps = 0 value, which ``limit_moment`` sums
+  over the words, integrated once per rotation/reflection class.
 
 Both integrate one importance weight with one kernel.  x_0 is set from its
 uniform (below), and each later generating coordinate x_i, in walk order, is
@@ -520,11 +521,13 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
 # public per-word estimates
 
 
-def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
-    """Check an order-2k request before any work.
+def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int = 1) -> None:
+    """Check an order-2k request of ``samples`` points per word before any
+    work, for a task that integrates ``members`` words at once on
+    samples x members points (``limit_moment``'s largest class).
 
     Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
-    Monte Carlo batch needs its ceil(samples / ``BATCHES``) weights, one
+    Monte Carlo batch needs its ceil(points / ``BATCHES``) weights, one
     float64 per row, at most 2k + 11 more per row of one block of
     ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms,
     k + 1 coordinate rows, six work rows, two boolean rows and the row of
@@ -549,16 +552,18 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS) -> None:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
-    rows, per_row, per_block, what = -(-samples // BATCHES), 1, 2 * k + 11, "Monte Carlo"
+    points = samples * members
+    rows, per_row, per_block, what = -(-points // BATCHES), 1, 2 * k + 11, "Monte Carlo"
     shifts = BATCHES * (k - 1) * -(-rows // _MC_BLOCK)
     if method == "quadrature":
         per_row, per_block, shifts, what = LATTICE_POINT_FLOATS, 3 * k + 12, 0, "quadrature"
         if 8 * per_row * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit
-            rows = _lattice_size(samples, BATCHES)
+            rows = _lattice_size(points, BATCHES)
     need = 8 * (per_row * rows + per_block * _MC_BLOCK + shifts)
     if need > INTEGRAND_BUDGET:
+        per_class = f" per word ({points} for a class of {members} words)" if members > 1 else ""
         raise ResourceLimitError(
-            f"{what} at k={k} with {samples} samples needs about {need / 2**30:.3g} GiB per batch, "
+            f"{what} at k={k} with {samples} samples{per_class} needs about {need / 2**30:.3g} GiB per batch, "
             f"over the {INTEGRAND_BUDGET / 2**30:g} GiB budget"
         )
     if method == "quadrature" and rows * rows >= 2**63:
@@ -628,55 +633,66 @@ def limit_word_moment(
 # aggregated moments
 
 
-def _word_estimate(
-    words: list[Word], kind: MatrixKind, method: str, samples: int, seed: int, i: int,
-) -> MomentEstimate:
-    return limit_word_moment(words[i], kind, method, samples=samples, seed=derive_seed(seed, i))
+@functools.lru_cache(maxsize=MAX_K)
+def _classes(k: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The rotation/reflection classes of the order-2k words (``words.dihedral_representative``) in the order of
+    their first words: (the representative's letters, its words' indices in ``enumerate_pair_matched_words``)."""
+    classes: dict[str, list[int]] = {}
+    for i, word in enumerate(enumerate_pair_matched_words(k)):
+        classes.setdefault(dihedral_representative(word).letters, []).append(i)
+    return tuple((rep, tuple(members)) for rep, members in classes.items())
 
 
-def limit_moment(
-    k: int,
-    kind: MatrixKind,
-    method: str = "mc-ladder",
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    threads: int | None = 1,
-) -> MomentEstimate:
+def _largest_class(k: int) -> int:
+    """The size of the largest class at k, without grouping the words: 1, 2 and 6 words at k = 1..3, then 4k, the
+    order of the rotations and reversals of the 2k-circuit (``_classes`` has these sizes at every k up to MAX_K)."""
+    return 4 * k if k > 3 else (1, 2, 6)[max(k, 1) - 1]
+
+
+def _class_estimate(words: list[Word], classes: tuple, kind: MatrixKind, method: str, samples: int, seed: int,
+                    c: int) -> MomentEstimate:
+    """Class c's estimate: ``limit_word_moment`` on the member whose plan has the fewest draw steps, then checked
+    forms, then the least letters, on ``samples`` points per member, seeded from its first word's index."""
+    members = classes[c][1]
+
+    def cost(word: Word) -> tuple[int, int, str]:
+        ctx = _WordContext(word, kind)
+        return sum(mode == "draw" for _, _, mode, _ in ctx.steps), len(ctx.checks), word.letters
+
+    member = min((words[i] for i in members), key=cost)
+    return limit_word_moment(member, kind, method, samples=samples * len(members), seed=derive_seed(seed, members[0]))
+
+
+def limit_moment(k: int, kind: MatrixKind, method: str = "mc-ladder", *, samples: int = DEFAULT_SAMPLES,
+                 seed: int = 0, threads: int | None = 1) -> MomentEstimate:
     """Order-2k limiting moment: sum of word contributions with error bars.
 
-    The per-word breakdown is recorded in ``params['per_word']``.  Words are
-    independent tasks with derived seeds (``samples`` points each), so the
-    result does not depend on ``threads``.
+    Every word of a rotation/reflection class has the same limit, so a class
+    is one task (``_class_estimate``), integrated once on one member with
+    ``samples`` points per member of the class.  That one estimate counts
+    once per member: a class of m words adds m times its value to the total
+    and m times its bar in quadrature, not sqrt(m) times, as the members are
+    not independent estimates.  ``params['per_word']`` gives each word its
+    class's value and bar, the ``class`` (the representative's letters) and
+    the member ``evaluated``.  The result does not depend on ``threads``.
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    _plan(k, method, samples)
-    words = enumerate_pair_matched_words(k)
-    estimate = functools.partial(_word_estimate, words, kind, method, samples, seed)
-    estimates = parallel_map(estimate, range(len(words)), workers=threads)
-    value = sum(e.value for e in estimates)
-    se = math.sqrt(sum(e.std_error**2 for e in estimates))
-    per_word = [
-        {"word": w.letters, "symmetric": is_symmetric(w), "value": e.value, "std_error": e.std_error,
-         "method": e.method.value}
-        for w, e in zip(words, estimates)
-    ]
-    params = {
-        "k": k,
-        "kind": kind.link.value,
-        "words": len(words),
-        "per_word": per_word,
-        "samples": samples,
-        "seed": seed,
-    }
-    return MomentEstimate(
-        value=value,
-        std_error=se,
-        method=Method(method),
-        params=params,
-        word=None,
-    )
+    _plan(k, method, samples, members=_largest_class(k))
+    words, classes = enumerate_pair_matched_words(k), _classes(k)
+    estimate = functools.partial(_class_estimate, words, classes, kind, method, samples, seed)
+    estimates = parallel_map(estimate, range(len(classes)), workers=threads)
+    value = sum(len(members) * e.value for (_, members), e in zip(classes, estimates))
+    se = math.sqrt(sum((len(members) * e.std_error) ** 2 for (_, members), e in zip(classes, estimates)))
+    per_word: list = [None] * len(words)
+    for (rep, members), e in zip(classes, estimates):
+        for i in members:
+            per_word[i] = {"word": words[i].letters, "symmetric": is_symmetric(words[i]), "value": e.value,
+                           "std_error": e.std_error, "method": e.method.value, "class": rep,
+                           "evaluated": e.word.letters}
+    params = {"k": k, "kind": kind.link.value, "words": len(words), "per_word": per_word, "samples": samples,
+              "seed": seed}
+    return MomentEstimate(value=value, std_error=se, method=Method(method), params=params, word=None)
 
 
 def limit_moment_of_order(
@@ -756,7 +772,7 @@ def compare_empirical_limit(
         raise InvalidArgumentError("empirical-vs-limit comparison targets balanced kinds (bt, bh)")
     if reps < 2:
         raise InvalidArgumentError("need reps >= 2 for standard errors")
-    _plan(k_max, method, samples)
+    _plan(k_max, method, samples, members=_largest_class(k_max))  # the largest class grows with k
     if k_max > MAX_K:
         raise ResourceLimitError(f"orders up to {2 * k_max} need words of k={k_max}, over the enumeration cap {MAX_K}")
     spectra = simulate_spectra(kind, dist, n, reps, seed, threads=threads)

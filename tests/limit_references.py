@@ -43,14 +43,44 @@ Provenance:
   int ln^2 x ln(1 - x) dx = -2 sum_n 1 / (n (n + 1)^3) = -6 + 2 zeta(2) +
   2 zeta(3), so that int Z^3 = -2 int ln^3 x - 6 int ln^2 x ln(1 - x) by the
   symmetry x -> 1 - x.  Their spread is rounding only.
-* k = 3 totals: lattice only, not yet confirmed by a second route.  Toeplitz
-  88.2674 +- 7.0e-3 over the 15 words (three lattice sizes agreed within
-  3e-3; 88.2713 +- 0.013 over the 5 rotation/reflection classes weighted by
-  size); Hankel 66.0464 +- 6.9e-3.  These came from the lattice before it
-  smoothed x_0.  The smoothed lattice reads the Hankel total as 66.0356 (seed
-  sd 7.9e-4 over 6 seeds at 2M points per word), 1.5 spreads below 66.046 +-
-  0.007; the value and spread are kept, since the same method would be
-  grading itself.
+* k = 3, the other classes, Toeplitz: from difference coordinates.  With
+  d_j = x_j - L_{i-1} the difference between a generating coordinate and the
+  form its factor reads, every vertex of the walk is x_0 plus an integer
+  combination of d, so x_0 integrates out to the length ell(d) of the
+  interval on which every vertex lies in [0, 1], one minus the range of the
+  vertices' offsets when that is positive, and a word is the integral of
+  ell(d) / prod_j (1 - |d_j|) over (-1, 1)^3.  ell is piecewise linear in
+  d_3, so d_3 integrates in closed form (logarithms) over the pieces between
+  its breakpoints.  d_1 and d_2 were integrated by nested one-dimensional
+  adaptive Gauss-Kronrod (``scipy.integrate.cubature``, 21 points) under
+  |d| = 1 - exp(-u), which cancels the factor 1 / (1 - |d|), each level
+  split at every line across which the integrand can kink (where two
+  breakpoints of d_3 meet, or one meets 0 or +-1, or two vertex offsets
+  cross), the inner level at a tolerance 100 times below the outer one.  At
+  outer tolerances 1e-7 and 1e-8 the classes agree to 2.3e-8 (``aabccb``),
+  4e-9 (``aabcbc``) and 3e-9 (``abacbc``), and ``aabbcc`` reads its closed
+  form to 2e-9; ``abcabc``, the slow class (36 kink lines), read
+  2.6878939505 and 2.6878939521 at outer tolerances 1e-5 and 1e-6, and
+  2.6878939536 on the Hankel forms.
+  ``aabccb`` reads 11.89154554, where an inner product <Z, T Z> of an
+  earlier route gave 11.891545547 and an earlier 2-D cubature without the
+  splits 11.8915459.  A 2-D cubature over
+  the quadrants missed ``aabbcc``'s closed form by 2.7e-4 with an error
+  estimate of 1.4e-6: the kink lines defeat its error estimate.
+* k = 3, Hankel: a parity-symmetric word has the same limit under both
+  patterns (flipping the signs of some of the differences maps Hankel's ell
+  onto Toeplitz's and preserves the measure; checked pointwise at random d
+  for every symmetric word at k = 2..5), so the Hankel total sums the
+  Toeplitz values of its symmetric classes ``aabbcc`` [2 words],
+  ``aabccb`` [3] and ``abcabc`` [1].  The same route on the Hankel forms,
+  at tolerance 1e-7, read ``aabccb`` as the same float as on the Toeplitz
+  forms and ``aabbcc`` within 2.6e-8 of its closed form.
+* k = 3 totals: the class values weighted by their sizes, ``aabbcc`` [2],
+  ``aabcbc`` [6], ``aabccb`` [3], ``abacbc`` [3] and ``abcabc`` [1] for
+  Toeplitz.  They replace lattice-only totals, 88.267 +- 0.013 and
+  66.046 +- 0.007, which the lattice made before it smoothed x_0; the Hankel
+  one was 1.6 spreads high.  The spread of 1e-5 covers the class values'
+  spreads and the earlier 2-D cubature's totals, 88.268136 and 66.034749.
 """
 
 import math
@@ -67,8 +97,8 @@ TOTALS = {
     (1, "h"): (2.0, 0.0),
     (2, "t"): (2.0 * AABB + ABAB, ROUNDING),
     (2, "h"): (2.0 * AABB, ROUNDING),
-    (3, "t"): (88.267, 0.013),  # lattice only
-    (3, "h"): (66.046, 0.007),  # lattice only
+    (3, "t"): (88.2681336, 1e-5),
+    (3, "h"): (66.0347473, 1e-5),
 }
 
 # word -> (value, spread) of its Toeplitz contribution at k = 2
@@ -82,4 +112,14 @@ TOEPLITZ_K2_WORDS = {
 K3_NONCROSSING_WORDS = {
     "aabbcc": (AABBCC, ROUNDING),
     "abbcca": (AABBCC, ROUNDING),
+}
+
+# class (its representative's letters) -> (value, spread) of the Toeplitz
+# contribution of each of its words at k = 3
+TOEPLITZ_K3_CLASSES = {
+    "aabbcc": (AABBCC, ROUNDING),
+    "aabcbc": (2.90769547, 1e-7),
+    "aabccb": (11.89154554, 1e-7),
+    "abacbc": (1.59573781, 1e-7),
+    "abcabc": (2.68789395, 1e-7),
 }

@@ -8,6 +8,7 @@ import pytest
 
 from balanced_spectra import limits as limits_module
 from balanced_spectra.errors import InvalidArgumentError, ResourceLimitError
+from balanced_spectra.inputs import derive_seed
 from balanced_spectra.matgen import MatrixKind, occurrence_draw, submatrix_window, trimmed_interval
 from balanced_spectra.limits import (
     LIMIT_METHODS,
@@ -27,7 +28,7 @@ from balanced_spectra.limits import (
     truncated_word_moment,
 )
 from balanced_spectra.words import MAX_K, Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
-from limit_references import K3_NONCROSSING_WORDS, TOEPLITZ_K2_WORDS, TOTALS
+from limit_references import K3_NONCROSSING_WORDS, TOEPLITZ_K2_WORDS, TOEPLITZ_K3_CLASSES, TOTALS
 
 AA = Word("aa")
 
@@ -714,12 +715,13 @@ def test_quadrature_values_are_pinned():
     # the lattice path is the Monte Carlo's weight kernel, smoothed root and
     # conditional step included, on other uniforms, so a change to the kernel
     # that is meant to keep its floats (a plan that skips dead work, a new
-    # scratch layout) must keep these, recorded when abab's last coordinate
-    # began to be integrated out in closed form and blocks became 8191 rows
+    # scratch layout) must keep these, recorded when limit_moment began to
+    # integrate each rotation/reflection class once: aabb and abba are one
+    # estimate on aabb at twice the points
     recorded = {
-        MatrixKind.BT: (10.8404993574878, 0.00011439020713174336,
-                        [4.710131632439484, 1.4203314656676094, 4.710036259380708]),
-        MatrixKind.BH: (9.420382189536864, 8.936641837503392e-05, [4.710131632439484, 0.0, 4.71025055709738]),
+        MatrixKind.BT: (10.840594925561714, 7.494945575980799e-05,
+                        [4.710131729947052, 1.4203314656676094, 4.710131729947052]),
+        MatrixKind.BH: (9.420263459894104, 2.2739903124856612e-07, [4.710131729947052, 0.0, 4.710131729947052]),
     }
     for kind, (value, se, words) in recorded.items():
         est = limit_moment(2, kind, "quadrature", samples=200_000, seed=7, threads=1)
@@ -747,15 +749,47 @@ def test_unknown_method_rejected():
         limit_moment(0, MatrixKind.T)
 
 
-@pytest.mark.parametrize("method, samples", [("midpoint", 1000), ("mc-ladder", 0)])
+@pytest.mark.parametrize("method, samples", [("midpoint", 1000), ("mc-ladder", 0), ("mc-ladder", -5)])
 def test_limit_moment_refuses_before_fan_out(monkeypatch, method, samples):
-    # both used to reach parallel_map with 3 tasks and 2 workers before raising
+    # both used to reach parallel_map with 3 tasks and 2 workers before raising;
+    # the refusal also comes before the words are grouped into classes, and
+    # names the samples asked for
     def no_fan_out(*args, **kwargs):
-        raise AssertionError("a bad request must be refused before any task is mapped")
+        raise AssertionError("a bad request must be refused before the words are grouped or any task is mapped")
 
-    monkeypatch.setattr(limits_module, "parallel_map", no_fan_out)
-    with pytest.raises(InvalidArgumentError):
+    for name in ("parallel_map", "_classes", "enumerate_pair_matched_words"):
+        monkeypatch.setattr(limits_module, name, no_fan_out)
+    message = "unknown method 'midpoint'" if method == "midpoint" else f"samples must be >= 1, got {samples}$"
+    with pytest.raises(InvalidArgumentError, match=message):
         limit_moment(2, MatrixKind.T, method, samples=samples, threads=2)
+
+
+@pytest.mark.parametrize("method, samples", [("mc-ladder", 10**9), ("quadrature", 10**8)])
+def test_limit_moment_refuses_a_class_over_budget_before_fan_out(monkeypatch, method, samples):
+    # a class task integrates samples x its size points on one member, so at
+    # k = 3, whose largest class has 6 words, a request whose batch fits per
+    # word but not per class is refused before any task is mapped
+    def no_fan_out(*args, **kwargs):
+        raise AssertionError("a request over budget for its largest class must be refused before any task is mapped")
+
+    assert limits_module._largest_class(3) == 6
+    limits_module._plan(3, method, samples)  # fits per word
+    for name in ("parallel_map", "_mc_truncated", "simulate_spectra", "_classes", "enumerate_pair_matched_words"):
+        monkeypatch.setattr(limits_module, name, no_fan_out)
+    # the message names the samples asked for and the class's points apart
+    message = rf"at k=3 with {samples} samples per word \({6 * samples} for a class of 6 words\) needs .* GiB per batch"
+    with pytest.raises(ResourceLimitError, match=message):
+        limit_moment(3, MatrixKind.BT, method, samples=samples, threads=2)
+    with pytest.raises(ResourceLimitError, match=message):
+        compare_empirical_limit(MatrixKind.BT, 10, 2, 3, 0, method=method, samples=samples, threads=1)
+
+
+def test_largest_class_is_its_closed_form():
+    # the memory guard sizes a request by the largest class before grouping
+    # the words; the grouping takes 10 s at k = 7, where the closed form,
+    # 4k, was checked once, so it is held here up to k = 5
+    for k in range(1, 6):
+        assert limits_module._largest_class(k) == max(len(members) for _, members in limits_module._classes(k)), k
 
 
 def test_oracle_converges_to_limit():
@@ -776,10 +810,47 @@ def test_ladder_deterministic_in_seed():
 
 
 def test_limit_moment_independent_of_worker_count():
-    serial = limit_moment(2, MatrixKind.T, "mc-ladder", samples=20_000, seed=13, threads=1)
-    pooled = limit_moment(2, MatrixKind.T, "mc-ladder", samples=20_000, seed=13, threads=2)
-    assert serial.value == pooled.value
-    assert serial.params["per_word"] == pooled.params["per_word"]
+    # at k = 3 the class tasks differ up to 6x in points, and in lattice primes
+    for k, method in ((2, "mc-ladder"), (3, "mc-ladder"), (3, "quadrature")):
+        serial = limit_moment(k, MatrixKind.T, method, samples=20_000, seed=13, threads=1)
+        pooled = limit_moment(k, MatrixKind.T, method, samples=20_000, seed=13, threads=2)
+        assert serial.value == pooled.value
+        assert serial.params["per_word"] == pooled.params["per_word"]
+
+
+@pytest.mark.parametrize("method", LIMIT_METHODS)
+@pytest.mark.parametrize("kind", [MatrixKind.BT, MatrixKind.BH])
+def test_limit_moment_integrates_each_class_once(kind, method):
+    # every word of a rotation/reflection class has the same limit, so a
+    # class is one estimate on its member with the fewest draw steps, then
+    # checked forms, at samples x size points, which counts once per member
+    samples, seed = 20_000, 5
+    est = limit_moment(3, kind, method, samples=samples, seed=seed, threads=1)
+    words = enumerate_pair_matched_words(3)
+    classes = {}
+    for i, (word, entry) in enumerate(zip(words, est.params["per_word"])):
+        assert entry["word"] == word.letters and entry["class"] == dihedral_representative(word).letters
+        assert entry["symmetric"] == is_symmetric(word)
+        classes.setdefault(entry["class"], []).append((i, entry))
+    assert len(classes) == 5
+    variance = 0.0
+    for rep, members in classes.items():
+        first, entry = members[0]
+        shared = {key: entry[key] for key in ("value", "std_error", "method", "class", "evaluated")}
+        assert all({key: e[key] for key in shared} == shared for _, e in members), rep
+        assert dihedral_representative(Word(entry["evaluated"])).letters == rep
+        again = limit_word_moment(Word(entry["evaluated"]), kind, method, samples=samples * len(members),
+                                  seed=derive_seed(seed, first))
+        assert (again.value, again.std_error) == (entry["value"], entry["std_error"]), rep
+        variance += (len(members) * entry["std_error"]) ** 2
+        if entry["method"] != "analytic":  # a symmetric word's limit is the same under both patterns
+            assert abs(z_scores([(entry["value"], entry["std_error"])], TOEPLITZ_K3_CLASSES[rep])[0]) <= 5.0, rep
+    assert est.std_error == math.sqrt(variance)
+    assert est.value == pytest.approx(sum(e["value"] for e in est.params["per_word"]), abs=1e-12)
+    evaluated = {"bt": "abcbac", "bh": "abcacb"}[kind.value]
+    assert classes["abacbc"][0][1]["evaluated"] == evaluated
+    if kind is MatrixKind.BH:  # parity symmetry is constant on a class: the non-symmetric ones are exact zeros
+        assert all(e["method"] == "analytic" for rep in ("aabcbc", "abacbc") for _, e in classes[rep])
 
 
 # --- Monte Carlo against independent references ----------------------------
@@ -801,12 +872,13 @@ def assert_honest(z, what, bars=4.0):
 @pytest.mark.parametrize(
     "k, kind, seeds, samples",
     [(1, MatrixKind.T, 16, 200_000), (1, MatrixKind.H, 16, 200_000), (2, MatrixKind.BH, 16, 200_000),
-     (3, MatrixKind.BT, 4, 200_000)],
-    ids=["k1-t", "k1-h", "k2-bh", "k3-bt"],
+     (3, MatrixKind.BT, 4, 200_000), (3, MatrixKind.BH, 4, 200_000)],
+    ids=["k1-t", "k1-h", "k2-bh", "k3-bt", "k3-bh"],
 )
 def test_monte_carlo_limit_matches_the_references_over_seeds(k, kind, seeds, samples):
-    # limit_moment seeds each word from the master seed by derive_seed, so the
-    # words of one rotation/reflection class are drawn from separate streams
+    # limit_moment seeds each rotation/reflection class from the master seed
+    # by derive_seed, so different classes are drawn from separate streams,
+    # and a class's one estimate counts once for each of its words
     estimates = [limit_moment(k, kind, "mc-ladder", samples=samples, seed=s, threads=1) for s in range(seeds)]
     assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(k, kind.link.value)]), (k, kind))
 
@@ -817,13 +889,56 @@ def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds()
     # reads low with a small spread makes a long tail: against the exact
     # aabb = abba, over master seeds 0-999 at 200,000 samples aabb's z had sd
     # 1.12 and reached -5.29, abba's sd 1.10 and +4.18.  So a total is held to
-    # 4 bars and one word's estimate to 5
+    # 4 bars and one word's estimate to 5.  limit_moment integrates abba's
+    # class on aabb, so each word's own estimate is made here, seeded by
+    # derive_seed from its index as limit_moment once seeded it
     estimates = [limit_moment(2, MatrixKind.BT, "mc-ladder", samples=200_000, seed=s, threads=1) for s in range(16)]
     assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(2, "t")]), "total")
-    for letters, reference in TOEPLITZ_K2_WORDS.items():
-        entries = [entry for e in estimates for entry in e.params["per_word"] if entry["word"] == letters]
-        assert len(entries) == len(estimates)
-        assert_honest(z_scores([(entry["value"], entry["std_error"]) for entry in entries], reference), letters, bars=5.0)
+    letters = [word.letters for word in enumerate_pair_matched_words(2)]
+    for word, reference in TOEPLITZ_K2_WORDS.items():
+        own = [limit_word_moment(Word(word), MatrixKind.BT, "mc-ladder", samples=200_000,
+                                 seed=derive_seed(s, letters.index(word))) for s in range(16)]
+        assert_honest(z_scores([(e.value, e.std_error) for e in own], reference), word, bars=5.0)
+
+
+@pytest.mark.parametrize("method", LIMIT_METHODS)
+@pytest.mark.parametrize("kind", [MatrixKind.BT, MatrixKind.BH])
+def test_every_k3_word_matches_its_class_value_over_seeds(kind, method):
+    # limit_moment integrates one member of each class, so every word's own
+    # plan (its draws, conditional steps and checks) is held here to its
+    # class's value, seeded by derive_seed from its index.  A parity-symmetric
+    # word has the same limit under both patterns; a non-symmetric Hankel
+    # word is an exact zero.  Over seeds 0-199 at 200,000 points the z scores
+    # had sd 1.06-1.08 for both patterns and methods; the Monte Carlo reached
+    # 4.86, the lattice, whose bar has the longer tail, 5.04 (Toeplitz
+    # aabbcc, seed 99) and 6.80 (Hankel abbacc, seed 107)
+    z = []
+    for i, word in enumerate(enumerate_pair_matched_words(3)):
+        estimates = [limit_word_moment(word, kind, method, samples=200_000, seed=derive_seed(s, i)) for s in range(4)]
+        if kind is MatrixKind.BH and not is_symmetric(word):
+            assert all((e.value, e.std_error, e.method.value) == (0.0, 0.0, "analytic") for e in estimates), word
+            continue
+        reference = TOEPLITZ_K3_CLASSES[dihedral_representative(word).letters]
+        word_z = z_scores([(e.value, e.std_error) for e in estimates], reference)
+        assert np.all(np.abs(word_z) <= 5.0), (word.letters, word_z)
+        z.extend(word_z)
+    assert len(z) == 4 * (15 if kind is MatrixKind.BT else 6)
+    assert_honest(np.array(z), (kind, method), bars=5.0)
+
+
+def test_k3_totals_are_the_class_sums():
+    # each class counts once per word; under Hankel only the parity-symmetric
+    # classes count, with their Toeplitz values
+    sizes = {}
+    for word in enumerate_pair_matched_words(3):
+        rep = dihedral_representative(word).letters
+        sizes[rep] = sizes.get(rep, 0) + 1
+        assert is_symmetric(word) == is_symmetric(Word(rep))
+    assert sorted(sizes) == sorted(TOEPLITZ_K3_CLASSES)
+    for pattern, counted in (("t", sizes), ("h", [rep for rep in sizes if is_symmetric(Word(rep))])):
+        total = sum(sizes[rep] * TOEPLITZ_K3_CLASSES[rep][0] for rep in counted)
+        value, spread = TOTALS[(3, pattern)]
+        assert abs(total - value) <= spread / 10, (pattern, total)
 
 
 def test_abab_is_its_difference_integral():
@@ -929,9 +1044,11 @@ def test_quadrature_k2_matches_the_references_over_seeds(kind):
 
 
 def test_quadrature_k3_agrees_across_lattice_sizes():
-    # the Hankel k = 3 reference rests on the lattice alone; two lattice sizes
-    # four times apart must agree within their combined bars, and the larger
-    # must land within 4 bars of that reference
+    # two lattice sizes four times apart must agree within their combined
+    # bars, and the larger must land within 4 bars of the Hankel k = 3 total
+    # from difference coordinates, whose spread is far below that bar (at seed
+    # 9 the larger reads z = -1.28 on a bar of 2.0e-4, and the two sizes
+    # differ by 1.43 combined bars)
     small, large = (
         limit_moment(3, MatrixKind.BH, "quadrature", samples=samples, seed=9, threads=1) for samples in (100_000, 400_000)
     )
