@@ -35,12 +35,14 @@ trimmed box) or the points of a randomly shifted rank-1 lattice (method
 ``quadrature``: Sloan & Joe, *Lattice Methods for Multiple Integration*,
 1994), one random shift per batch.  The Monte Carlo stratifies x_0's uniform
 over the rows of a batch (Owen, ch. 8); the lattice's is a shifted grid.  Both
-smooth it by phi(v) = v^2 (3 - 2v), whose derivative vanishes at both ends,
-where the normalizers are log-singular: the non-crossing words, whose weight
-reads x_0 alone, get bars orders of magnitude narrower.  The Monte Carlo puts
-the uniforms of its later draws on a jittered block lattice, a Latin
-hypercube whose permutations are a rank-1 lattice in the row of the block
-(Tang, JASA 88, 1993), so they are stratified jointly with x_0's.  Both
+smooth it, and the uniform behind every later draw, by phi(v) = v^2 (3 - 2v),
+the weight taking phi'(v), which vanishes at both ends, where the normalizers
+are log-singular and the weight kinks: the non-crossing words, whose weight
+reads x_0 alone, get bars orders of magnitude narrower, and the crossing
+words, which draw, narrower too.  The Monte Carlo puts the uniforms of its
+later draws on a jittered block lattice, a Latin hypercube whose permutations
+are a rank-1 lattice in the row of the block (Tang, JASA 88, 1993), so they
+are stratified jointly with x_0's.  Both
 point sets give every point k + 1 uniforms.  A coordinate that no later form
 reads is not drawn, and its uniform goes unread: its normalizer alone is
 taken, or, when checked forms read it, it is integrated out in closed form
@@ -306,21 +308,37 @@ def _finite_n_sum(letters: str, kind: MatrixKind, n: int, eps: float) -> tuple[f
 # the importance weight on Monte Carlo or lattice points
 
 
+def _smooth(v: np.ndarray, weight: np.ndarray, t1: np.ndarray, t2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """phi(v) = v^2 (3 - 2v) into ``out``, which float rounding keeps in
+    [0, 1], and ``weight`` times phi'(v) = 6 v (1 - v) in place; t1 and t2
+    are scratch, and none of the four may share memory with v."""
+    np.multiply(v, 6.0, out=t1)
+    t1 *= np.subtract(1.0, v, out=t2)
+    weight *= t1
+    np.multiply(v, -2.0, out=t2)
+    t2 += 3.0
+    np.multiply(v, v, out=out)
+    out *= t2
+    return out
+
+
 def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: float, work: np.ndarray,
                flags: np.ndarray) -> np.ndarray:
     """Importance weights W / (hi - lo) of one block from its uniforms u,
     shape (k + 1, rows), row c coordinate c's, drawing its coordinates into
     ``x`` of the same shape.
 
-    x_0 is lo + (hi - lo) phi(u_0), phi(v) = v^2 (3 - 2v), with the weight
-    starting at phi'(v) = 6 v (1 - v), which vanishes at both ends, where
-    x_0's factors are log-singular: a polynomial periodizing transform of the
-    Korobov type (Sloan & Joe, 1994, ch. 2), the same for both point sets.
-    Each generating coordinate after it is drawn, in walk order, from the
-    density proportional to 1 / occ(L_{i-1}, x) on [lo, hi]
-    (``matgen.occurrence_draw``), as L_{i-1} reads earlier coordinates only.  W
-    is the product of those densities' normalizers Z(L_{i-1}) where every
-    dependent form lies in [lo, hi], else 0.  The steps follow ``ctx.steps``:
+    Every uniform the kernel reads goes through phi(v) = v^2 (3 - 2v), and
+    the weight takes phi'(v) = 6 v (1 - v), which vanishes at both ends,
+    where the factors are log-singular or kinked: a polynomial periodizing
+    transform of the Korobov type (Sloan & Joe, 1994, ch. 2), an exact change
+    of variables on [0, 1], the same for both point sets.  x_0 is
+    lo + (hi - lo) phi(u_0).  Each generating coordinate after it is drawn,
+    in walk order, at phi(u_i) from the density proportional to
+    1 / occ(L_{i-1}, x) on [lo, hi] (``matgen.occurrence_draw``), as L_{i-1}
+    reads earlier coordinates only.  W is the product of the phi' factors
+    and of those densities' normalizers Z(L_{i-1}) where every dependent
+    form lies in [lo, hi], else 0.  The steps follow ``ctx.steps``:
     a coordinate no form reads is not drawn, and only its normalizer is
     taken.  A coordinate only checked forms read, once the other coordinates
     they read are made, is integrated out (Owen, ch. 8-10, conditional Monte
@@ -335,14 +353,8 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     it overwrites; the weights are returned in work[0].
     """
     weight, z, form, product, *draw_work = work
-    v = u[0]
-    np.multiply(v, 6.0, out=weight)
-    weight *= np.subtract(1.0, v, out=z)  # phi'(v)
-    np.multiply(v, -2.0, out=form)
-    form += 3.0
-    np.multiply(v, v, out=product)
-    product *= form  # phi(v), which float rounding keeps in [0, 1]
-    np.multiply(product, hi - lo, out=x[0])
+    weight.fill(1.0)  # 1.0 times phi'(u_0) is phi'(u_0) exactly
+    np.multiply(_smooth(u[0], weight, z, form, out=product), hi - lo, out=x[0])
     x[0] += lo  # lo + (hi - lo) t, t in [0, 1], rounds into [lo, hi] on both patterns' intervals
     for row, col, mode, covered in ctx.steps:
         if mode == "same":  # z still holds the previous step's normalizer
@@ -362,8 +374,9 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
                         product /= coeff
                     tighten(end, product, out=end)
             occurrence_integral(ctx.link, y, draw_work, lo, hi, out=(z, product, flags))
-        else:
-            occurrence_draw(ctx.link, y, None if mode == "z" else u[col], lo, hi, out=(x[col], z, draw_work, flags))
+        else:  # y is in form or a row of x, so product is free for phi(u_col)
+            t = None if mode == "z" else _smooth(u[col], weight, z, draw_work[0], out=product)
+            occurrence_draw(ctx.link, y, t, lo, hi, out=(x[col], z, draw_work, flags))
         weight *= z
     outside, above = flags
     for i in ctx.checks:
@@ -461,9 +474,10 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     ``_lattice_size`` points of the rank-1 lattice under one uniform
     shift drawn from that stream, whose mean is unbiased too; z[0] = 1 makes
     its u_0 a shifted grid, which plays the part of the stratified one.  Only
-    the source of the uniforms differs: ``_weight_on`` smooths u_0, draws and
-    integrates out alike for both.  The call allocates one scratch set of
-    block rows and reuses it for every block, so no block allocates an array.
+    the source of the uniforms differs: ``_weight_on`` smooths the uniforms
+    it reads, draws and integrates out alike for both.  The call allocates
+    one scratch set of block rows and reuses it for every block, so no block
+    allocates an array.
     The batch means are averaged, not their median taken: W is right-skewed,
     and the median of skewed means is biased low.
     """

@@ -433,7 +433,8 @@ def _reference_mc(ctx, eps, samples, batches, seed):
     u_0 = (i + U_i) / rows, smoothed by phi(v) = v^2 (3 - 2v) with weight
     phi'(v) = 6 v (1 - v), and u_j = ((i z_j + c_j) mod N + U_j) / N in
     integer arithmetic, N the block's length and c_j its block's shift, for
-    each drawn coordinate j.  Each form is summed over all its columns; a
+    each drawn coordinate j, smoothed by phi too, its phi' taken into the
+    weight as it is drawn.  Each form is summed over all its columns; a
     drawn coordinate comes from ``_reference_draw``, a coordinate integrated
     out from ``_reference_integral`` over the interval where every dependent
     form that reads it lies in [lo, hi], and the other dependent forms of
@@ -472,7 +473,8 @@ def _reference_mc(ctx, eps, samples, batches, seed):
                         a, b = np.maximum(a, lower), np.minimum(b, upper)
                 weight *= _reference_integral(ctx.link, y, a, b, lo, hi)
             elif col in drawn:
-                x[col], normalizer = _reference_draw(ctx.link, y, u[col], lo, hi)
+                weight *= 6.0 * u[col] * (1.0 - u[col])
+                x[col], normalizer = _reference_draw(ctx.link, y, u[col] * u[col] * (3.0 - 2.0 * u[col]), lo, hi)
                 weight *= normalizer
             else:  # no form reads x_col: its normalizer alone, at any uniforms
                 weight *= _reference_draw(ctx.link, y, v, lo, hi)[1]
@@ -547,13 +549,15 @@ def test_in_place_draw_leaves_no_stale_scratch(kind, eps):
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_weights_stay_finite_at_the_extreme_uniforms(kind):
     # rng.random returns values in [0, 1 - 2^-53], 0 included, and a jittered
-    # lattice coordinate (8190 + U) / 8191 rounds to 1 at the top: at eps = 0 a
-    # coordinate at 0 or 1 makes the next factor's occurrence vanish at an end
-    # of the axis, which must give weight 0 before any log(0), and the inverse
-    # CDF must keep every coordinate it draws inside the axis (the smoothed
-    # x_0 and the steps marked "draw"; the others' rows are left as they
-    # were), and the closed-form integral of a "cond" step must take no
-    # logarithm of 0 either
+    # lattice coordinate (8190 + U) / 8191 rounds to 1 at the top.  The
+    # smoothing map sends u = 0 and u = 1 to themselves (and 1 - 2^-53 to 1),
+    # with phi' = 0 there, so they reach the inverse CDF as they are: at eps =
+    # 0 a coordinate at 0 or 1 makes the next factor's occurrence vanish at an
+    # end of the axis, which must give weight 0 before any log(0), and the
+    # inverse CDF must keep every coordinate it draws inside the axis (x_0 and
+    # the steps marked "draw"; the others' rows are left as they were), and
+    # the closed-form integral of a "cond" step must take no logarithm of 0
+    # either
     lo, hi = trimmed_interval(kind, 0.0)
     for k in (1, 2, 3):
         u = np.array(list(itertools.product((0.0, 0.5, 1.0 - 2.0**-53, 1.0), repeat=k + 1))).T
@@ -717,10 +721,12 @@ def test_quadrature_values_are_pinned():
     # that is meant to keep its floats (a plan that skips dead work, a new
     # scratch layout) must keep these, recorded when limit_moment began to
     # integrate each rotation/reflection class once: aabb and abba are one
-    # estimate on aabb at twice the points
+    # estimate on aabb at twice the points (the Toeplitz entry since every
+    # drawn uniform goes through the smoothing map; no Hankel word draws at
+    # k = 2)
     recorded = {
-        MatrixKind.BT: (10.840594925561714, 7.494945575980799e-05,
-                        [4.710131729947052, 1.4203314656676094, 4.710131729947052]),
+        MatrixKind.BT: (10.840525167708236, 1.2146875557521952e-06,
+                        [4.710131729947052, 1.4202617078141335, 4.710131729947052]),
         MatrixKind.BH: (9.420263459894104, 2.2739903124856612e-07, [4.710131729947052, 0.0, 4.710131729947052]),
     }
     for kind, (value, se, words) in recorded.items():
@@ -740,6 +746,19 @@ def test_bar_of_the_pair_word_is_tiny(kind, method):
     est = limit_word_moment(AA, kind, method, samples=200_000, seed=3)
     assert 0.0 < est.std_error < 1e-5
     assert abs(est.value - 2.0) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("method, bar", [("mc-ladder", 4e-5), ("quadrature", 5e-6)])
+def test_bar_of_the_crossing_word_is_small(method, bar):
+    # Toeplitz abab draws x_1, whose uniform goes through the smoothing map as
+    # x_0's does, so the weight loses its kinks and log-singular slopes at the
+    # ends of that axis too: at 200,000 points the bar at seed 3 is 2.6e-5
+    # (Monte Carlo) and 1.2e-6 (lattice), at most 2.7e-5 and 1.6e-6 over
+    # seeds 0-39, where the raw uniform gave 6.4e-5 and 7.5e-5, and it still
+    # covers the exact 8 - 2 pi^2 / 3
+    est = limit_word_moment(Word("abab"), MatrixKind.BT, method, samples=200_000, seed=3)
+    assert 0.0 < est.std_error < bar
+    assert abs(est.value - (8.0 - 2.0 * math.pi**2 / 3.0)) <= 4.0 * est.std_error
 
 
 def test_unknown_method_rejected():
@@ -887,11 +906,13 @@ def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds()
     # a word's bar is the spread of 16 batch means, so its z follows Student's
     # t with 15 dof more than a normal law (sd 1.07), and a batch set that
     # reads low with a small spread makes a long tail: against the exact
-    # aabb = abba, over master seeds 0-999 at 200,000 samples aabb's z had sd
-    # 1.12 and reached -5.29, abba's sd 1.10 and +4.18.  So a total is held to
-    # 4 bars and one word's estimate to 5.  limit_moment integrates abba's
-    # class on aabb, so each word's own estimate is made here, seeded by
-    # derive_seed from its index as limit_moment once seeded it
+    # values, over master seeds 0-999 at 200,000 samples aabb's z had sd 1.12
+    # and reached -5.29, abba's sd 1.09 and -4.38, and abab's sd 1.10 and
+    # +7.17 at one seed (320, all 16 batch means above the exact value; over
+    # seeds 1000-3999 its sd was 1.09 and it reached 4.81).  So a total is
+    # held to 4 bars and one word's estimate to 5.  limit_moment integrates
+    # abba's class on aabb, so each word's own estimate is made here, seeded
+    # by derive_seed from its index as limit_moment once seeded it
     estimates = [limit_moment(2, MatrixKind.BT, "mc-ladder", samples=200_000, seed=s, threads=1) for s in range(16)]
     assert_honest(z_scores([(e.value, e.std_error) for e in estimates], TOTALS[(2, "t")]), "total")
     letters = [word.letters for word in enumerate_pair_matched_words(2)]
@@ -909,9 +930,10 @@ def test_every_k3_word_matches_its_class_value_over_seeds(kind, method):
     # class's value, seeded by derive_seed from its index.  A parity-symmetric
     # word has the same limit under both patterns; a non-symmetric Hankel
     # word is an exact zero.  Over seeds 0-199 at 200,000 points the z scores
-    # had sd 1.06-1.08 for both patterns and methods; the Monte Carlo reached
-    # 4.86, the lattice, whose bar has the longer tail, 5.04 (Toeplitz
-    # aabbcc, seed 99) and 6.80 (Hankel abbacc, seed 107)
+    # had sd 1.09 (Toeplitz) and 1.12 (Hankel) for the Monte Carlo and 1.06
+    # and 1.08 for the lattice; the Monte Carlo reached 4.75 (Toeplitz) and
+    # 5.92 (Hankel abccba, seed 97), the lattice 6.14 (Toeplitz abccba, seed
+    # 163) and 5.04 (aabbcc, seed 99, under both patterns)
     z = []
     for i, word in enumerate(enumerate_pair_matched_words(3)):
         estimates = [limit_word_moment(word, kind, method, samples=200_000, seed=derive_seed(s, i)) for s in range(4)]
@@ -975,7 +997,8 @@ def test_abab_is_its_difference_integral():
 def test_k3_non_crossing_words_match_the_exact_value_over_seeds(kind, method):
     # aabbcc = abbcca = int Z^3 = 48 - 2 pi^2 - 12 zeta(3) exactly, under
     # both patterns.  At 200,000 points over seeds 0-29 the z scores of both
-    # words had sd 0.81-1.20 and reached 3.38
+    # words had sd 0.79-1.36 and reached 4.22 (Hankel abbcca on the lattice,
+    # whose one draw goes through the smoothing map; aabbcc draws nothing)
     for letters, reference in K3_NONCROSSING_WORDS.items():
         estimates = [limit_word_moment(Word(letters), kind, method, samples=200_000, seed=s) for s in range(12)]
         assert_honest(z_scores([(e.value, e.std_error) for e in estimates], reference), (letters, method))
@@ -1046,9 +1069,9 @@ def test_quadrature_k2_matches_the_references_over_seeds(kind):
 def test_quadrature_k3_agrees_across_lattice_sizes():
     # two lattice sizes four times apart must agree within their combined
     # bars, and the larger must land within 4 bars of the Hankel k = 3 total
-    # from difference coordinates, whose spread is far below that bar (at seed
-    # 9 the larger reads z = -1.28 on a bar of 2.0e-4, and the two sizes
-    # differ by 1.43 combined bars)
+    # from difference coordinates, whose spread of 1e-5 the z takes in
+    # quadrature (at seed 9 the larger reads z = +1.38 on a bar of 1.6e-5,
+    # and the two sizes differ by 1.48 combined bars)
     small, large = (
         limit_moment(3, MatrixKind.BH, "quadrature", samples=samples, seed=9, threads=1) for samples in (100_000, 400_000)
     )
