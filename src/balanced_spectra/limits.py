@@ -40,13 +40,14 @@ the weight taking phi'(v), which vanishes at both ends, where the normalizers
 are log-singular and the weight kinks: the non-crossing words, whose weight
 reads x_0 alone, get bars orders of magnitude narrower, and the crossing
 words, which draw, narrower too.  The Monte Carlo puts the uniforms of its
-later draws on a jittered block lattice, a Latin hypercube whose permutations
-are a rank-1 lattice in the row of the block (Tang, JASA 88, 1993), so they
-are stratified jointly with x_0's.  Both
-point sets give every point k + 1 uniforms.  A coordinate that no later form
-reads is not drawn, and its uniform goes unread: its normalizer alone is
-taken, or, when checked forms read it, it is integrated out in closed form
-over the interval where they hold (conditional Monte Carlo: Owen, ch. 8-10).
+later draws on a jittered rank-1 lattice that spans the batch, a Latin
+hypercube whose permutations are the lattice's (Tang, JASA 88, 1993), with
+Fibonacci-type multipliers, so they are stratified jointly with x_0's over
+the whole batch.  Both point sets give every point k + 1 uniforms.  A
+coordinate that no later form reads is not drawn, and its uniform goes
+unread: its normalizer alone is taken, or, when checked forms read it, it is
+integrated out in closed form over the interval where they hold (conditional
+Monte Carlo: Owen, ch. 8-10).
 Each call of the kernel allocates one scratch set sized to a block and reuses
 it for every block, so no block allocates an array, and the module keeps no
 state but its cache of lattice vectors: calls may run side by side in threads.
@@ -86,11 +87,7 @@ INTEGRAND_BUDGET = 2**30  # bytes: the working set of one batch
 LATTICE_POINT_FLOATS = 13  # float64 values per lattice point, an upper bound on the construction's peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
-_MC_BLOCK = 8191  # rows per Monte Carlo block, a prime: its coordinates and forms stay in L2
-# z of the _MC_BLOCK-point rank-1 lattice that jitters the Monte Carlo's drawn
-# coordinates, _lattice(8191, MAX_K + 1), written out: the FFT that builds it
-# costs about 1 MB of resident memory
-_JITTER = (1, 3457, 1864, 2964, 1208, 2843, 2448, 1327)
+_MC_BLOCK = 8191  # rows per Monte Carlo block: its coordinates and forms stay in L2
 
 
 class Method(Enum):
@@ -432,6 +429,40 @@ def _lattice(n: int, dim: int) -> np.ndarray:
     return z
 
 
+def _largest_quotient(z: int, n: int) -> int:
+    """The largest partial quotient of the continued fraction of z / n, 0 for z = 0."""
+    largest = 0
+    while z:
+        q, r = divmod(n, z)
+        largest, n, z = max(largest, q), z, r
+    return largest
+
+
+@functools.lru_cache(maxsize=32)
+def _batch_lattice(n: int, d: int) -> tuple[int, ...]:
+    """Multipliers z_1 .. z_d of the Monte Carlo's rank-1 lattice over a batch
+    of n rows, one per drawn coordinate: z_j is the unit mod n within 200 of
+    n frac(g^-j) whose z_j / n has the smallest largest partial quotient, the
+    nearest to the target on a tie, with g > 1 the root of g^(d + 1) = g + 1.
+    At d = 1, g is the golden ratio and z_1 a Fibonacci-type multiplier, the
+    optimal two-dimensional good lattice point (Sloan & Joe, 1994); a small
+    largest quotient keeps the pairs (i, i z_j mod n) evenly spread.  g is
+    found by bisection and its powers by products and quotients, so the
+    vector is the same on every IEEE machine."""
+    low, high = 1.0, 2.0
+    for _ in range(64):
+        g = (low + high) / 2.0
+        low, high = (g, high) if math.prod([g] * (d + 1)) < g + 1.0 else (low, g)
+    z, power = [], 1.0
+    for _ in range(d):
+        power /= g
+        target = n * (power % 1.0)
+        units = (c for c in range(max(0, math.ceil(target - 200.0)), min(n, math.floor(target + 200.0) + 1))
+                 if math.gcd(c, n) == 1)
+        z.append(min(units, key=lambda c: (_largest_quotient(c, n), abs(c - target), c)))
+    return tuple(z)
+
+
 def _lattice_blocks(n: int, shifts: np.ndarray):
     """The block source of ``_mc_truncated``'s lattice: (b, start, m) -> the
     points frac(i z / n + shifts[b]), rows i = start .. start + m - 1, as one
@@ -451,6 +482,44 @@ def _lattice_blocks(n: int, shifts: np.ndarray):
     return uniforms
 
 
+def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches: int, t: np.ndarray,
+                  wrap: np.ndarray):
+    """The block source of ``_mc_truncated``'s Monte Carlo: (b, start, m) ->
+    the k + 1 uniforms of rows i = start .. start + m - 1 of batch b, n rows a
+    batch, each row k + 1 draws U of ``rng``.  u_0 = (i + U_0) / n, and each
+    coordinate j in ``drawn`` takes u_j = ((i z_j + c_j) mod n + U_j) / n,
+    with z = ``_batch_lattice(n, len(drawn))`` and c_j the batch's integer
+    shift, drawn here before any point.  The residues are a table of r z_j mod n, r
+    below a block, made once, plus each block's offset (start z_j + c_j) mod
+    n in Python ints: both are below n, so their sum is exact and one
+    subtraction wraps it.  t and wrap, a float64 and a boolean row of a
+    block, are scratch."""
+    z = _batch_lattice(n, len(drawn))
+    shifts = rng.integers(n, size=(batches, len(drawn)))
+    rows = min(n, _MC_BLOCK)
+    draw = np.empty((rows, k + 1))
+    index = np.arange(rows, dtype=float)  # start + r at the block starting at start
+    table = np.empty((len(z), rows))  # row by row: a broadcast product would take a temporary buffer
+    for row, z_j in zip(table, z):
+        np.multiply(index, z_j, out=row)  # r z_j < 2^40: exact
+    table %= n
+
+    def uniforms(b: int, start: int, m: int) -> np.ndarray:
+        u = rng.random(out=draw[:m]).T
+        np.add(index, start - index[0], out=index)  # integers, so exact
+        np.add(index[:m], u[0], out=u[0])
+        u[0] /= n
+        residue, above = t[:m], wrap[:m]
+        for col, base, z_j, c_j in zip(drawn, table, z, shifts[b].tolist()):
+            np.add(base[:m], (start * z_j + c_j) % n, out=residue)
+            np.subtract(residue, n, out=residue, where=np.greater_equal(residue, n, out=above))
+            residue += u[col]
+            np.divide(residue, n, out=u[col])
+        return u
+
+    return uniforms
+
+
 def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int,
                   lattice: bool = False) -> tuple[float, float]:
     """Importance-sampled estimate of the word integral on [lo, hi]^(k+1), the
@@ -459,19 +528,20 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     over sqrt(batches).
 
     W is at most log-singular, so eps = 0 needs no trim.  A Monte Carlo batch
-    is ceil(samples / batches) rows of the seed's stream, drawn in blocks of
-    ``_MC_BLOCK`` = N rows, a prime: the stream does not depend on how it is
-    cut.  Row i of a batch takes u_0 = (i + U_i) / rows, U_i its stream
-    draw, so x_0 is stratified over the batch.  Each coordinate j a step
-    draws takes u_j = ((r z_j + c_j) mod N + U_j) / N, a Latin hypercube whose
-    permutations are a rank-1 lattice (Tang, JASA 88, 1993): r is the row
-    within its block, z = ``_JITTER``, c_j one shift per block drawn, before
-    any point, from the stream as floor(N U), and U_j the row's own stream
-    uniform.  So every row is uniform on the cube, the later coordinates are
-    stratified jointly with x_0's, and the batches stay independent, each
-    mean unbiased.  Every row reads all k + 1 uniforms of the stream, whichever
-    coordinates its word draws.  With ``lattice`` a batch is the
-    ``_lattice_size`` points of the rank-1 lattice under one uniform
+    is n = ceil(samples / batches) rows of the seed's stream, drawn in blocks
+    of ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  Row i
+    of a batch takes u_0 = (i + U_i) / n, U_i its stream draw, so x_0 is
+    stratified over the batch.  Each coordinate j a step draws takes u_j =
+    ((i z_j + c_j) mod n + U_j) / n (``_batch_blocks``): a Latin hypercube
+    whose permutations are one rank-1 lattice over the batch (Tang, JASA 88,
+    1993), z = ``_batch_lattice(n, d)`` for the word's d drawn coordinates,
+    c_j one integer shift per batch drawn, before any point, uniformly from
+    0 .. n - 1, and U_j the row's own stream uniform.  So every row is
+    uniform on the cube, the later coordinates are stratified jointly with
+    x_0's, and the batches stay independent, each mean unbiased; a word that
+    draws nothing draws no shift.  Every row reads all k + 1 uniforms of the
+    stream, whichever coordinates its word draws.  With ``lattice`` a batch
+    is the ``_lattice_size`` points of the rank-1 lattice under one uniform
     shift drawn from that stream, whose mean is unbiased too; z[0] = 1 makes
     its u_0 a shifted grid, which plays the part of the stratified one.  Only
     the source of the uniforms differs: ``_weight_on`` smooths the uniforms
@@ -487,41 +557,15 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     rng = np.random.Generator(np.random.PCG64(seed))
     per_batch = _lattice_size(samples, batches) if lattice else max(1, int(math.ceil(samples / batches)))
     rows = min(per_batch, _MC_BLOCK)
-    if lattice:
-        uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
-    else:
-        jittered = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
-        draw = np.empty((rows, ctx.k + 1))
-        index = np.arange(rows, dtype=float)  # start + r at the block starting at start
-        shifts = rng.random((batches, -(-per_batch // _MC_BLOCK), len(jittered)))  # c_j, before any point
-        shifts *= _MC_BLOCK
-        np.floor(shifts, out=shifts)
-
-        def uniforms(b: int, start: int, m: int) -> np.ndarray:
-            u = rng.random(out=draw[:m]).T
-            np.add(index, start - index[0], out=index)  # integers, so exact
-            np.add(index[:m], u[0], out=u[0])
-            u[0] /= per_batch  # row i of the batch: (i + U_i) / per_batch
-            for col, shift in zip(jittered, shifts[b, start // _MC_BLOCK]):
-                # ((i z_j + c_j) mod N + U_j) / N, N = _MC_BLOCK; start is a
-                # multiple of N, so i z_j = r z_j mod N for the block's row r.
-                # t = i z_j + c_j is an integer below 2^40, so t / N rounds
-                # to within 2^-26 of the quotient, whose fraction is 0 or at
-                # least 1 / N: the floor and t mod N are exact
-                t, q = work[-1, :m], work[-2, :m]  # free until the weight is made
-                np.multiply(index[:m], _JITTER[col], out=t)
-                t += shift
-                np.floor(np.divide(t, _MC_BLOCK, out=q), out=q)
-                q *= _MC_BLOCK
-                t -= q
-                u[col] += t
-                u[col] /= _MC_BLOCK
-            return u
-
     means = np.empty(batches)
     vals = np.empty(per_batch)
     x = np.empty((ctx.k + 1, rows))
     work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
+    if lattice:
+        uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
+    else:  # work[-1] and flags[0] are free until the weight is made
+        drawn = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
+        uniforms = _batch_blocks(rng, per_batch, ctx.k, drawn, batches, work[-1], flags[0])
     for b in range(batches):
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
@@ -542,17 +586,18 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int
 
     Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
     Monte Carlo batch needs its ceil(points / ``BATCHES``) weights, one
-    float64 per row, at most 2k + 11 more per row of one block of
+    float64 per row, at most 3k + 10 more per row of one block of
     ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms,
-    k + 1 coordinate rows, six work rows, two boolean rows and the row of
-    stratum indices; the conditional step and the jittered lattice
-    coordinates work in those rows; worst tracemalloc peaks of one
+    k + 1 coordinate rows, six work rows, two boolean rows, the row of
+    stratum indices and the batch lattice's residue table, one row for each
+    of at most k - 1 drawn coordinates; the conditional step and the drawn
+    coordinates' residues work in those rows; worst tracemalloc peaks of one
     ``_mc_truncated`` call over the words, a sample of them at k >= 5, with
     batches of 1,000 and 50,000 rows, less the one per batch row, were 11.9,
-    13.9, 16.0, 18.0, 20.0, 22.0, 24.0 float64 per block row at k = 1..7, the
+    15.2, 18.1, 21.0, 24.0, 27.0, 30.2 float64 per block row at k = 1..7, the
     excess over the scratch falling with the block's length), and the
-    lattice shifts, one float64 per block of every batch for each of at most
-    k - 1 drawn coordinates (the last step's coordinate is never drawn: only
+    lattice shifts, one int64 per batch for each of at most k - 1 drawn
+    coordinates (the last step's coordinate is never drawn: only
     checked forms can read it, and those it integrates out).  A
     lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its n =
     ``_lattice_size`` points for the construction of its vector, freed before
@@ -560,15 +605,16 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int
     125,003, 12.0 at 4,194,319 where the FFT length doubles; tracemalloc,
     blind to the FFT's own buffers, saw 4.7 and 7.5), and 3k + 12 per block
     row, the base row adding k + 1 (peaks 13.4, 22.5, 31.5 at k = 1, 4, 7).
-    n^2 < 2^63 keeps the products of two residues mod n in int64.
+    n^2 < 2^63 keeps the products of two residues mod n in int64.  The budget
+    keeps a Monte Carlo batch below 2^27 rows, so its residue table's products
+    r z_j < 2^40 are exact in float64.
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     points = samples * members
-    rows, per_row, per_block, what = -(-points // BATCHES), 1, 2 * k + 11, "Monte Carlo"
-    shifts = BATCHES * (k - 1) * -(-rows // _MC_BLOCK)
+    rows, per_row, per_block, shifts, what = -(-points // BATCHES), 1, 3 * k + 10, BATCHES * (k - 1), "Monte Carlo"
     if method == "quadrature":
         per_row, per_block, shifts, what = LATTICE_POINT_FLOATS, 3 * k + 12, 0, "quadrature"
         if 8 * per_row * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit

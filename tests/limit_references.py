@@ -77,10 +77,14 @@ Provenance:
   forms and ``aabbcc`` within 2.6e-8 of its closed form.
 * k = 3 totals: the class values weighted by their sizes, ``aabbcc`` [2],
   ``aabcbc`` [6], ``aabccb`` [3], ``abacbc`` [3] and ``abcabc`` [1] for
-  Toeplitz.  They replace lattice-only totals, 88.267 +- 0.013 and
-  66.046 +- 0.007, which the lattice made before it smoothed x_0; the Hankel
-  one was 1.6 spreads high.  The spread of 1e-5 covers the class values'
-  spreads and the earlier 2-D cubature's totals, 88.268136 and 66.034749.
+  Toeplitz, computed below from ``TOEPLITZ_K3_CLASSES``, their spreads
+  weighted and added alike: 88.26813354 +- 1.3e-6 (Toeplitz) and
+  66.03474729 +- 4e-7 (Hankel).  They replace lattice-only totals,
+  88.267 +- 0.013 and 66.046 +- 0.007, which the lattice made before it
+  smoothed x_0 (the Hankel one was 1.6 spreads high), and then the rounded
+  sums 88.2681336 and 66.0347473 with a spread of 1e-5, which covered the
+  earlier 2-D cubature's totals, 88.268136 and 66.034749, and was wider than
+  the Monte Carlo's and the lattice's bars at 2,000,000 points.
 """
 
 import math
@@ -90,16 +94,6 @@ AABB = 8.0 - math.pi**2 / 3.0  # aabb = abba at k = 2, either pattern
 ABAB = 8.0 - 2.0 * math.pi**2 / 3.0  # abab at k = 2, Toeplitz
 AABBCC = 48.0 - 2.0 * math.pi**2 - 12.0 * ZETA3  # aabbcc = abbcca at k = 3, either pattern
 ROUNDING = 1e-15  # the spread of a closed form evaluated in float64
-
-# (k, pattern) -> (value, spread) of the order-2k limiting moment
-TOTALS = {
-    (1, "t"): (2.0, 0.0),
-    (1, "h"): (2.0, 0.0),
-    (2, "t"): (2.0 * AABB + ABAB, ROUNDING),
-    (2, "h"): (2.0 * AABB, ROUNDING),
-    (3, "t"): (88.2681336, 1e-5),
-    (3, "h"): (66.0347473, 1e-5),
-}
 
 # word -> (value, spread) of its Toeplitz contribution at k = 2
 TOEPLITZ_K2_WORDS = {
@@ -122,4 +116,26 @@ TOEPLITZ_K3_CLASSES = {
     "aabccb": (11.89154554, 1e-7),
     "abacbc": (1.59573781, 1e-7),
     "abcabc": (2.68789395, 1e-7),
+}
+
+# words of each Toeplitz class at k = 3; under Hankel only the parity-symmetric
+# classes aabbcc, aabccb and abcabc count
+K3_CLASS_SIZES = {"aabbcc": 2, "aabcbc": 6, "aabccb": 3, "abacbc": 3, "abcabc": 1}
+
+
+def _class_sum(classes) -> tuple[float, float]:
+    """The k = 3 total over ``classes``: their values weighted by their sizes,
+    and their spreads weighted the same way and added, not in quadrature, as
+    each spread bounds a cubature's tolerance rather than a random error."""
+    return tuple(math.fsum(K3_CLASS_SIZES[rep] * TOEPLITZ_K3_CLASSES[rep][i] for rep in classes) for i in (0, 1))
+
+
+# (k, pattern) -> (value, spread) of the order-2k limiting moment
+TOTALS = {
+    (1, "t"): (2.0, 0.0),
+    (1, "h"): (2.0, 0.0),
+    (2, "t"): (2.0 * AABB + ABAB, ROUNDING),
+    (2, "h"): (2.0 * AABB, ROUNDING),
+    (3, "t"): _class_sum(K3_CLASS_SIZES),
+    (3, "h"): _class_sum(("aabbcc", "aabccb", "abcabc")),
 }

@@ -427,27 +427,26 @@ def _reference_integral(kind, y, a, b, lo, hi):
 
 
 def _reference_mc(ctx, eps, samples, batches, seed):
-    """The importance-sampled estimate on whole batches.  The shifts c_j of
-    every block come first, then each batch's ``rng.random`` draws, one row of
-    k + 1 uniforms a point, whichever coordinates the word draws.  Row i takes
-    u_0 = (i + U_i) / rows, smoothed by phi(v) = v^2 (3 - 2v) with weight
-    phi'(v) = 6 v (1 - v), and u_j = ((i z_j + c_j) mod N + U_j) / N in
-    integer arithmetic, N the block's length and c_j its block's shift, for
-    each drawn coordinate j, smoothed by phi too, its phi' taken into the
-    weight as it is drawn.  Each form is summed over all its columns; a
-    drawn coordinate comes from ``_reference_draw``, a coordinate integrated
-    out from ``_reference_integral`` over the interval where every dependent
-    form that reads it lies in [lo, hi], and the other dependent forms of
-    more than one term are checked; the result is the mean of the batch
-    means."""
+    """The importance-sampled estimate on whole batches.  The integer shifts
+    c_j of every batch come first, then each batch's ``rng.random`` draws, one
+    row of k + 1 uniforms a point, whichever coordinates the word draws.  Row
+    i of a batch of n rows takes u_0 = (i + U_i) / n, smoothed by phi(v) =
+    v^2 (3 - 2v) with weight phi'(v) = 6 v (1 - v), and u_j = ((i z_j + c_j)
+    mod n + U_j) / n in integer arithmetic, z the batch lattice's multipliers
+    and c_j the batch's shift, for each drawn coordinate j, smoothed by phi
+    too, its phi' taken into the weight as it is drawn.  Each form is summed
+    over all its columns; a drawn coordinate comes from ``_reference_draw``,
+    a coordinate integrated out from ``_reference_integral`` over the
+    interval where every dependent form that reads it lies in [lo, hi], and
+    the other dependent forms of more than one term are checked; the result
+    is the mean of the batch means."""
     lo, hi = trimmed_interval(ctx.link, eps)
-    n = limits_module._MC_BLOCK
-    z = limits_module._JITTER
     per_batch = max(1, math.ceil(samples / batches))
     rng = np.random.Generator(np.random.PCG64(seed))
     drawn = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
     integrated = [col for _, col, mode, _ in ctx.steps if mode == "cond"]
-    shifts = np.floor(rng.random((batches, -(-per_batch // n), len(drawn))) * n).astype(np.int64)
+    z = limits_module._batch_lattice(per_batch, len(drawn))
+    shifts = rng.integers(per_batch, size=(batches, len(drawn)))
     i = np.arange(per_batch)
     means = np.empty(batches)
 
@@ -457,7 +456,7 @@ def _reference_mc(ctx, eps, samples, batches, seed):
     for batch in range(batches):
         u = rng.random((per_batch, ctx.k + 1)).T
         for j, col in enumerate(drawn):
-            u[col] = ((i * z[col] + shifts[batch, i // n, j]) % n + u[col]) / n
+            u[col] = ((i * z[j] + shifts[batch, j]) % per_batch + u[col]) / per_batch
         v = (i + u[0]) / per_batch
         x = np.zeros((ctx.k + 1, per_batch))
         x[0] = lo + (hi - lo) * (v * v * (3.0 - 2.0 * v))
@@ -549,7 +548,7 @@ def test_in_place_draw_leaves_no_stale_scratch(kind, eps):
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_weights_stay_finite_at_the_extreme_uniforms(kind):
     # rng.random returns values in [0, 1 - 2^-53], 0 included, and a jittered
-    # lattice coordinate (8190 + U) / 8191 rounds to 1 at the top.  The
+    # lattice coordinate (n - 1 + U) / n rounds to 1 at the top.  The
     # smoothing map sends u = 0 and u = 1 to themselves (and 1 - 2^-53 to 1),
     # with phi' = 0 there, so they reach the inverse CDF as they are: at eps =
     # 0 a coordinate at 0 or 1 makes the next factor's occurrence vanish at an
@@ -597,15 +596,22 @@ def test_monte_carlo_budget_guard(monkeypatch):
     limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch)
     with pytest.raises(ResourceLimitError):
         limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1)
+    # and at k = 3, 19 per row of one block (two rows of the residue table)
+    # and the batches' shifts, two int64 each
+    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 19 * limits_module._MC_BLOCK - 2 * limits_module.BATCHES
+    limits_module._plan(3, "mc-ladder", limits_module.BATCHES * per_batch)
+    with pytest.raises(ResourceLimitError):
+        limits_module._plan(3, "mc-ladder", limits_module.BATCHES * per_batch + 1)
     # the default sample count passes at every k the words enumerate
     for k in range(1, MAX_K + 1):
         limits_module._plan(k, "mc-ladder", limits_module.DEFAULT_SAMPLES)
 
 
 def test_monte_carlo_guard_bounds_the_peak():
-    # one call's tracemalloc peak against 1 float64 per row of a batch, 2k + 11
+    # one call's tracemalloc peak against 1 float64 per row of a batch, 3k + 10
     # per row of one block, no longer than the batch (_plan counts a whole
-    # block), and one per block and drawn coordinate, at most k - 1, for the
+    # block; the residue table takes one row for each drawn coordinate, at
+    # most k - 1), and one int64 per batch and drawn coordinate for the
     # lattice shifts, at a batch below one block and at one of several; the
     # words differ in how many forms and draws they make, so every word up to
     # k = 3 and a fifth of those at k = 4
@@ -620,8 +626,8 @@ def test_monte_carlo_guard_bounds_the_peak():
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            shifts = 2 * (k - 1) * -(-rows // limits_module._MC_BLOCK)  # the lattice shifts of both batches
-            assert peak <= 8 * (rows + (2 * k + 11) * block + shifts), (kind, rows, word, peak / 8)
+            shifts = 2 * (k - 1)  # the lattice shifts of both batches
+            assert peak <= 8 * (rows + (3 * k + 10) * block + shifts), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
@@ -748,13 +754,15 @@ def test_bar_of_the_pair_word_is_tiny(kind, method):
     assert abs(est.value - 2.0) <= 4.0 * est.std_error
 
 
-@pytest.mark.parametrize("method, bar", [("mc-ladder", 4e-5), ("quadrature", 5e-6)])
+@pytest.mark.parametrize("method, bar", [("mc-ladder", 2e-6), ("quadrature", 5e-6)])
 def test_bar_of_the_crossing_word_is_small(method, bar):
     # Toeplitz abab draws x_1, whose uniform goes through the smoothing map as
     # x_0's does, so the weight loses its kinks and log-singular slopes at the
-    # ends of that axis too: at 200,000 points the bar at seed 3 is 2.6e-5
-    # (Monte Carlo) and 1.2e-6 (lattice), at most 2.7e-5 and 1.6e-6 over
-    # seeds 0-39, where the raw uniform gave 6.4e-5 and 7.5e-5, and it still
+    # ends of that axis too, and the Monte Carlo lays it on one jittered
+    # lattice over the batch: at 200,000 points the bar at seed 3 is 8.9e-7
+    # (Monte Carlo) and 1.2e-6 (lattice), at most 1.2e-6 and 1.6e-6 over
+    # seeds 0-39, where the raw uniform gave 6.4e-5 and 7.5e-5 and the
+    # Monte Carlo's 8191-row block lattices 2.6e-5 at seed 3, and it still
     # covers the exact 8 - 2 pi^2 / 3
     est = limit_word_moment(Word("abab"), MatrixKind.BT, method, samples=200_000, seed=3)
     assert 0.0 < est.std_error < bar
@@ -907,10 +915,11 @@ def test_monte_carlo_toeplitz_k2_and_its_words_match_the_references_over_seeds()
     # t with 15 dof more than a normal law (sd 1.07), and a batch set that
     # reads low with a small spread makes a long tail: against the exact
     # values, over master seeds 0-999 at 200,000 samples aabb's z had sd 1.12
-    # and reached -5.29, abba's sd 1.09 and -4.38, and abab's sd 1.10 and
-    # +7.17 at one seed (320, all 16 batch means above the exact value; over
-    # seeds 1000-3999 its sd was 1.09 and it reached 4.81).  So a total is
-    # held to 4 bars and one word's estimate to 5.  limit_moment integrates
+    # and reached -5.29 (seed 282), abba's sd 1.08 and -4.24, and abab's sd
+    # 1.09 and -4.17 (over seeds 1000-3999 its sd was 1.09 and it reached
+    # -4.54; before its draw lay on one lattice over the batch it reached
+    # +7.17 at seed 320, all 16 batch means above the exact value).  So a
+    # total is held to 4 bars and one word's estimate to 5.  limit_moment integrates
     # abba's class on aabb, so each word's own estimate is made here, seeded
     # by derive_seed from its index as limit_moment once seeded it
     estimates = [limit_moment(2, MatrixKind.BT, "mc-ladder", samples=200_000, seed=s, threads=1) for s in range(16)]
@@ -930,10 +939,13 @@ def test_every_k3_word_matches_its_class_value_over_seeds(kind, method):
     # class's value, seeded by derive_seed from its index.  A parity-symmetric
     # word has the same limit under both patterns; a non-symmetric Hankel
     # word is an exact zero.  Over seeds 0-199 at 200,000 points the z scores
-    # had sd 1.09 (Toeplitz) and 1.12 (Hankel) for the Monte Carlo and 1.06
-    # and 1.08 for the lattice; the Monte Carlo reached 4.75 (Toeplitz) and
-    # 5.92 (Hankel abccba, seed 97), the lattice 6.14 (Toeplitz abccba, seed
-    # 163) and 5.04 (aabbcc, seed 99, under both patterns)
+    # had sd 1.09 (Toeplitz) and 1.06 (Hankel) for the Monte Carlo and 1.06
+    # and 1.08 for the lattice; the Monte Carlo reached 8.84 (Toeplitz abcbca,
+    # seed 119, whose 16 batch means all read high: with two drawn
+    # coordinates on one lattice a batch mean is nearly a fixed function of
+    # the batch's shifts, skewed) and 4.77 (Hankel abccba, seed 119), the
+    # lattice 6.14 (Toeplitz abccba, seed 163) and 5.04 (aabbcc, seed 99,
+    # under both patterns)
     z = []
     for i, word in enumerate(enumerate_pair_matched_words(3)):
         estimates = [limit_word_moment(word, kind, method, samples=200_000, seed=derive_seed(s, i)) for s in range(4)]
@@ -1028,13 +1040,53 @@ def test_lattice_vector_is_deterministic_and_made_of_units():
     assert np.array_equal(_lattice(12503, 8)[:3], _lattice(12503, 3))
 
 
-def test_jitter_vector_is_the_block_lattice():
-    # the Monte Carlo's block lattice is written out; it is the construction's
-    # vector for a block of _MC_BLOCK rows, a prime, in every dimension the
-    # words reach
-    n = limits_module._MC_BLOCK
-    assert n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-    assert limits_module._JITTER == tuple(_lattice.__wrapped__(n, MAX_K + 1).tolist())
+def test_batch_lattice_multipliers_are_units_with_small_quotients():
+    # z_j is a unit mod n, so i -> (i z_j + c_j) mod n permutes the batch's
+    # rows and each drawn coordinate takes every stratum once; it is the one
+    # of smallest largest partial quotient near n frac(g^-j), so the rows
+    # (i, i z_j mod n) lie evenly.  Over these sizes and 600 others up to
+    # 2^27, the largest quotient measured 6 at d = 1 (the golden ratio's
+    # 0.618...) and 12 at d = 2, the words up to k = 3; at d = 3 to 6 it
+    # reached 25, 42, 34 and 178, where the target's own expansion has a
+    # large quotient early (frac(g^-4) = [0; 1, 1, 1, 7, 207, ...] at d = 6)
+    # that no unit within 200 of it escapes at large n
+    _batch_lattice, largest_quotient = limits_module._batch_lattice, limits_module._largest_quotient
+    ceiling = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK  # _plan's largest batch, at k = 1
+    bounds = {1: 6, 2: 12}
+    for n, d in itertools.product((1, 2, 3, 8191, 125_000, 125_003, ceiling), range(1, MAX_K)):
+        z = _batch_lattice(n, d)
+        assert z == _batch_lattice.__wrapped__(n, d) and len(z) == d, (n, d)  # rebuilt, not read from the cache
+        assert all(0 <= c < n and math.gcd(c, n) == 1 for c in z), (n, z)
+        assert max(largest_quotient(c, n) for c in z) <= bounds.get(d, 200), (n, d, z)
+    assert _batch_lattice(125_000, 1) == (77_283,)  # 0.6182 n; 125,000 / 77,283 = [1; 1, 1, 1, 1, 1, 1, 2, 3, ...]
+    for n in (8191, 125_003):
+        z, c = _batch_lattice(n, 2), 12_345
+        for z_j in z:
+            assert np.array_equal(np.sort((np.arange(n) * z_j + c) % n), np.arange(n)), (n, z_j)
+
+
+def test_batch_lattice_residues_are_exact_at_the_budget_ceiling():
+    # the residues come from a table of r z mod n plus a per-block offset in
+    # Python ints, so they are exact where i z passes 2^53, which float64
+    # products of i and z would round: the last block of a batch at _plan's
+    # largest size, drawn from a generator the test replays
+    n = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK
+    block = limits_module._MC_BLOCK
+    start = (n - 1) // block * block
+    m = n - start
+    (z,) = limits_module._batch_lattice(n, 1)
+    assert start * z > 2**53
+    uniforms = limits_module._batch_blocks(np.random.default_rng(5), n, 1, [1], 2, np.empty(block),
+                                           np.empty(block, dtype=bool))
+    replay = np.random.default_rng(5)
+    shifts = replay.integers(n, size=(2, 1))
+    draws = replay.random((m, 2))
+    u = uniforms(1, start, m)
+    i = range(start, n)
+    residues = np.array([(row * z + int(shifts[1, 0])) % n for row in i], dtype=float)
+    assert np.array_equal(u[0], (np.arange(start, n, dtype=float) + draws[:, 0]) / n)
+    assert np.array_equal(u[1], (residues + draws[:, 1]) / n)
+    assert residues.min() >= 0 and residues.max() < n
 
 
 def test_lattice_rule_integrates_a_smooth_periodic_product():
@@ -1069,9 +1121,9 @@ def test_quadrature_k2_matches_the_references_over_seeds(kind):
 def test_quadrature_k3_agrees_across_lattice_sizes():
     # two lattice sizes four times apart must agree within their combined
     # bars, and the larger must land within 4 bars of the Hankel k = 3 total
-    # from difference coordinates, whose spread of 1e-5 the z takes in
-    # quadrature (at seed 9 the larger reads z = +1.38 on a bar of 1.6e-5,
-    # and the two sizes differ by 1.48 combined bars)
+    # from difference coordinates, the class sum whose spread of 4e-7 the z
+    # takes in quadrature (at seed 9 the larger reads z = +1.63 on a bar of
+    # 1.6e-5, and the two sizes differ by 1.48 combined bars)
     small, large = (
         limit_moment(3, MatrixKind.BH, "quadrature", samples=samples, seed=9, threads=1) for samples in (100_000, 400_000)
     )
