@@ -43,11 +43,11 @@ words, which draw, narrower too.  The Monte Carlo puts the uniforms of its
 later draws on a jittered rank-1 lattice that spans the batch, a Latin
 hypercube whose permutations are the lattice's (Tang, JASA 88, 1993), with
 Fibonacci-type multipliers, so they are stratified jointly with x_0's over
-the whole batch.  Both point sets give every point k + 1 uniforms.  A
-coordinate that no later form reads is not drawn, and its uniform goes
-unread: its normalizer alone is taken, or, when checked forms read it, it is
-integrated out in closed form over the interval where they hold (conditional
-Monte Carlo: Owen, ch. 8-10).
+the whole batch; it draws only the uniforms the kernel reads, and pairs the
+strata of the one word that draws nothing antithetically (``_batch_blocks``).
+A coordinate that no later form reads is not drawn: its normalizer alone is
+taken, or, when checked forms read it, it is integrated out in closed form
+over the interval where they hold (conditional Monte Carlo: Owen, ch. 8-10).
 Each call of the kernel allocates one scratch set sized to a block and reuses
 it for every block, so no block allocates an array, and the module keeps no
 state but its cache of lattice vectors: calls may run side by side in threads.
@@ -484,40 +484,94 @@ def _lattice_blocks(n: int, shifts: np.ndarray):
 
 def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches: int, t: np.ndarray,
                   wrap: np.ndarray):
-    """The block source of ``_mc_truncated``'s Monte Carlo: (b, start, m) ->
-    the k + 1 uniforms of rows i = start .. start + m - 1 of batch b, n rows a
-    batch, each row k + 1 draws U of ``rng``.  u_0 = (i + U_0) / n, and each
-    coordinate j in ``drawn`` takes u_j = ((i z_j + c_j) mod n + U_j) / n,
-    with z = ``_batch_lattice(n, len(drawn))`` and c_j the batch's integer
-    shift, drawn here before any point.  The residues are a table of r z_j mod n, r
-    below a block, made once, plus each block's offset (start z_j + c_j) mod
-    n in Python ints: both are below n, so their sum is exact and one
-    subtraction wraps it.  t and wrap, a float64 and a boolean row of a
-    block, are scratch."""
-    z = _batch_lattice(n, len(drawn))
-    shifts = rng.integers(n, size=(batches, len(drawn)))
+    """The block source of ``_mc_truncated``'s Monte Carlo, n rows a batch,
+    and its row of extra weights: (b, start, m) -> the uniforms u, shape
+    (k + 1, m), of rows i = start .. start + m - 1 of batch b, whose weights
+    take the factors ``jacobian[:m]`` as well when ``jacobian`` is not None.
+    Rows of u that the word's steps do not read are not written.
+
+    A word whose steps draw d = len(drawn) >= 1 coordinates draws 1 + d
+    uniforms of ``rng`` a row, U_0 and then U_j for each coordinate j in
+    ``drawn``.  u_0 = (i + U_0) / n, so x_0 is stratified over the batch
+    (Owen, ch. 8), and u_j = ((i z_j + c_j) mod n + U_j) / n, with z =
+    ``_batch_lattice(n, d)`` and c_j the batch's integer shift, drawn here
+    before any point, uniformly from 0 .. n - 1: a Latin hypercube whose
+    permutations are one rank-1 lattice over the batch (Tang, JASA 88,
+    1993).  The residues are a table of r z_j mod n, r below a block, made
+    once, plus each block's offset (start z_j + c_j) mod n in Python ints:
+    both are below n, so their sum is exact and one subtraction wraps it.
+
+    A word that draws nothing is aabb.. of its k: its weight is phi'(u_0)
+    Z(x_0)^k, Z the normalizer of the form x_0, log-singular at both ends of
+    [lo, hi] and symmetric about its middle.  It draws one uniform U a pair
+    of rows: rows 2r and 2r + 1 take v = (2r + U) / n and (2r + 2 - U) / n,
+    reflected about the boundary of their strata, so the pair's error
+    cancels to first order (antithetic pairs: Haber, Math. Comp. 21, 1967),
+    and the last row of an odd batch takes (i + U) / n.  A block that starts
+    on an odd row takes U from the block before, so the floats do not depend
+    on how a batch is cut, in order, into blocks.  What is left of a pair's
+    error grows with the weight's second derivative, which phi'(u_0) Z(x_0)
+    makes singular at the ends, so that the few pairs there would carry most
+    of a batch's variance and skew its bar.  So v is folded, min(v, 1 - v),
+    and smoothed once more, u_0 = phi(v) with the factor phi'(v) in
+    ``jacobian``: phi'(phi(v)) phi'(v) vanishes like v^3, and the error
+    spreads over all the pairs (32,000 batch means of aa at 12,500 rows had
+    skew 0.00 and kurtosis 3.01, and the t of 16 of them the tail of t with
+    15 degrees of freedom).  The fold leaves the weight as it is, by the
+    symmetry, and keeps x_0 off the end hi, where a float64 x_0 within half
+    an ulp would round to hi and drop its weight.  Each row is still in its
+    stratum and uniform, and the batches are independent.
+
+    t and wrap, a float64 and a boolean row of a block, are scratch."""
+    d = len(drawn)
+    z = _batch_lattice(n, d)
+    shifts = rng.integers(n, size=(batches, d))
     rows = min(n, _MC_BLOCK)
-    draw = np.empty((rows, k + 1))
+    stream, u = np.empty(rows * (1 + d) if d else (rows + 1) // 2), np.empty((k + 1, rows))
+    jacobian = None if d else np.empty(rows)
     index = np.arange(rows, dtype=float)  # start + r at the block starting at start
-    table = np.empty((len(z), rows))  # row by row: a broadcast product would take a temporary buffer
+    table = np.empty((d, rows))  # row by row: a broadcast product would take a temporary buffer
     for row, z_j in zip(table, z):
         np.multiply(index, z_j, out=row)  # r z_j < 2^40: exact
     table %= n
+    partner = 0.0  # U of the last row of the block before, when that row is even
 
     def uniforms(b: int, start: int, m: int) -> np.ndarray:
-        u = rng.random(out=draw[:m]).T
+        nonlocal partner
         np.add(index, start - index[0], out=index)  # integers, so exact
-        np.add(index[:m], u[0], out=u[0])
-        u[0] /= n
+        v = u[0, :m]
+        if not d:
+            odd = start % 2  # 1 when the block starts on an odd row: the index of its first even row
+            pairs = rng.random(out=stream[: (m - odd + 1) // 2])  # one U a row 2r of the block
+            if odd:
+                v[0] = 1.0 - partner
+            v[odd::2] = pairs
+            np.subtract(1.0, pairs[: (m - odd) // 2], out=v[odd + 1 :: 2])  # 1 - U exactly: U is a multiple of 2^-53
+            if len(pairs):
+                partner = float(pairs[-1])
+            v += index[:m]
+            v /= n
+            jac, scratch = jacobian[:m], t[:m]
+            np.minimum(v, np.subtract(1.0, v, out=scratch), out=v)
+            np.multiply(v, 6.0, out=jac)  # phi'(v) and phi(v) as _smooth makes them
+            jac *= np.subtract(1.0, v, out=scratch)
+            np.multiply(v, -2.0, out=scratch)
+            scratch += 3.0
+            v *= v
+            v *= scratch
+            return u[:, :m]
+        draws = rng.random(out=stream[: m * (1 + d)].reshape(m, 1 + d)).T
+        np.add(index[:m], draws[0], out=v)
+        v /= n
         residue, above = t[:m], wrap[:m]
-        for col, base, z_j, c_j in zip(drawn, table, z, shifts[b].tolist()):
+        for col, jitter, base, z_j, c_j in zip(drawn, draws[1:], table, z, shifts[b].tolist()):
             np.add(base[:m], (start * z_j + c_j) % n, out=residue)
             np.subtract(residue, n, out=residue, where=np.greater_equal(residue, n, out=above))
-            residue += u[col]
-            np.divide(residue, n, out=u[col])
-        return u
+            residue += jitter
+            np.divide(residue, n, out=u[col, :m])
+        return u[:, :m]
 
-    return uniforms
+    return uniforms, jacobian
 
 
 def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int,
@@ -529,21 +583,13 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
 
     W is at most log-singular, so eps = 0 needs no trim.  A Monte Carlo batch
     is n = ceil(samples / batches) rows of the seed's stream, drawn in blocks
-    of ``_MC_BLOCK`` rows: the stream does not depend on how it is cut.  Row i
-    of a batch takes u_0 = (i + U_i) / n, U_i its stream draw, so x_0 is
-    stratified over the batch.  Each coordinate j a step draws takes u_j =
-    ((i z_j + c_j) mod n + U_j) / n (``_batch_blocks``): a Latin hypercube
-    whose permutations are one rank-1 lattice over the batch (Tang, JASA 88,
-    1993), z = ``_batch_lattice(n, d)`` for the word's d drawn coordinates,
-    c_j one integer shift per batch drawn, before any point, uniformly from
-    0 .. n - 1, and U_j the row's own stream uniform.  So every row is
-    uniform on the cube, the later coordinates are stratified jointly with
-    x_0's, and the batches stay independent, each mean unbiased; a word that
-    draws nothing draws no shift.  Every row reads all k + 1 uniforms of the
-    stream, whichever coordinates its word draws.  With ``lattice`` a batch
-    is the ``_lattice_size`` points of the rank-1 lattice under one uniform
-    shift drawn from that stream, whose mean is unbiased too; z[0] = 1 makes
-    its u_0 a shifted grid, which plays the part of the stratified one.  Only
+    of ``_MC_BLOCK`` rows: the floats do not depend on how it is cut.  Its
+    rows stratify x_0 and put the drawn coordinates on a jittered rank-1
+    lattice over the batch, each row uniform on the cube and each batch mean
+    unbiased (``_batch_blocks``).  With ``lattice`` a batch is the
+    ``_lattice_size`` points of the rank-1 lattice under one uniform shift
+    drawn from that stream, whose mean is unbiased too; z[0] = 1 makes its
+    u_0 a shifted grid, which plays the part of the stratified one.  Only
     the source of the uniforms differs: ``_weight_on`` smooths the uniforms
     it reads, draws and integrates out alike for both.  The call allocates
     one scratch set of block rows and reuses it for every block, so no block
@@ -562,15 +608,19 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     x = np.empty((ctx.k + 1, rows))
     work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
     if lattice:
-        uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
+        uniforms, jacobian = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1))), None
     else:  # work[-1] and flags[0] are free until the weight is made
         drawn = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
-        uniforms = _batch_blocks(rng, per_batch, ctx.k, drawn, batches, work[-1], flags[0])
+        uniforms, jacobian = _batch_blocks(rng, per_batch, ctx.k, drawn, batches, work[-1], flags[0])
     for b in range(batches):
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
             u = uniforms(b, start, m)
-            vals[start : start + m] = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
+            weight = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
+            if jacobian is None:
+                vals[start : start + m] = weight
+            else:
+                np.multiply(weight, jacobian[:m], out=vals[start : start + m])
         means[b] = vals.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
@@ -586,25 +636,29 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int
 
     Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
     Monte Carlo batch needs its ceil(points / ``BATCHES``) weights, one
-    float64 per row, at most 3k + 10 more per row of one block of
-    ``_MC_BLOCK`` rows (the call's scratch: k + 1 rows of uniforms,
-    k + 1 coordinate rows, six work rows, two boolean rows, the row of
-    stratum indices and the batch lattice's residue table, one row for each
-    of at most k - 1 drawn coordinates; the conditional step and the drawn
-    coordinates' residues work in those rows; worst tracemalloc peaks of one
-    ``_mc_truncated`` call over the words, a sample of them at k >= 5, with
-    batches of 1,000 and 50,000 rows, less the one per batch row, were 11.9,
-    15.2, 18.1, 21.0, 24.0, 27.0, 30.2 float64 per block row at k = 1..7, the
-    excess over the scratch falling with the block's length), and the
-    lattice shifts, one int64 per batch for each of at most k - 1 drawn
-    coordinates (the last step's coordinate is never drawn: only
-    checked forms can read it, and those it integrates out).  A
-    lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its n =
-    ``_lattice_size`` points for the construction of its vector, freed before
-    the weights are made (peak resident set 7.7 float64 per point at n =
-    125,003, 12.0 at 4,194,319 where the FFT length doubles; tracemalloc,
-    blind to the FFT's own buffers, saw 4.7 and 7.5), and 3k + 12 per block
-    row, the base row adding k + 1 (peaks 13.4, 22.5, 31.5 at k = 1, 4, 7).
+    float64 per row, at most 4k + 10 more per row of one block of
+    ``_MC_BLOCK`` rows (the call's scratch: the stream's uniforms, 1 + d a
+    row for a word that draws d coordinates, or half a row and a row of
+    extra weights for the word that draws nothing (``_batch_blocks``), k + 1
+    rows of uniforms, k + 1 coordinate rows, six work rows, two boolean
+    rows, the row of stratum indices and the batch lattice's residue table,
+    one row for each of the d <= k - 1 drawn coordinates; the conditional
+    step and the drawn coordinates' residues work in those rows; worst
+    tracemalloc peaks of one ``_mc_truncated`` call over the words, a sample
+    of them at k >= 5, with batches of 1,000 and 50,000 rows, less the one
+    per batch row, were 13.5, 17.2, 21.1, 25.1, 29.1, 33.1, 37.1 float64
+    per block row at k = 1..7, the excess over the scratch falling
+    with the block's length), and the lattice shifts, one int64 per batch
+    for each of at most k - 1 drawn coordinates (the last step's coordinate
+    is never drawn: only checked forms can read it, and those it integrates
+    out).  A lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its
+    n = ``_lattice_size`` points for the construction of its vector, freed
+    before the weights are made (peak resident set 7.7 float64 per point at
+    n = 125,003, 12.0 at 4,194,319 where the FFT length doubles;
+    tracemalloc, blind to the FFT's own buffers, saw 4.7 and 7.5), and 3k +
+    12 per block row: its points' base row and buffer, k + 1 rows each, k +
+    1 coordinate rows, the work and boolean rows (peaks 13.4, 22.5, 31.5 at
+    k = 1, 4, 7).
     n^2 < 2^63 keeps the products of two residues mod n in int64.  The budget
     keeps a Monte Carlo batch below 2^27 rows, so its residue table's products
     r z_j < 2^40 are exact in float64.
@@ -614,7 +668,7 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     points = samples * members
-    rows, per_row, per_block, shifts, what = -(-points // BATCHES), 1, 3 * k + 10, BATCHES * (k - 1), "Monte Carlo"
+    rows, per_row, per_block, shifts, what = -(-points // BATCHES), 1, 4 * k + 10, BATCHES * (k - 1), "Monte Carlo"
     if method == "quadrature":
         per_row, per_block, shifts, what = LATTICE_POINT_FLOATS, 3 * k + 12, 0, "quadrature"
         if 8 * per_row * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit

@@ -177,7 +177,7 @@ def suite_limits() -> list[CheckResult]:
     _check(out, "limits", "truncated closed form (quadrature)", abs(q.value - closed) < 1e-4, f"{q.value:.7f} vs {closed:.7f}")
     mc = limits.limit_word_moment(aa, MatrixKind.T, "mc-ladder", samples=200_000, seed=1)
     _check(out, "limits", "Monte Carlo limit within 4 bars of 2", abs(mc.value - 2.0) <= 4 * mc.std_error,
-           f"{mc.value:.5f} +- {mc.std_error:.5f}")
+           f"{mc.value:.12g} +- {mc.std_error:.2g}, z = {(mc.value - 2.0) / mc.std_error:+.2f}")
     v20 = limits.finite_n_word_moment(Word("abab"), MatrixKind.H, 20).value
     v40 = limits.finite_n_word_moment(Word("abab"), MatrixKind.H, 40).value
     _check(out, "limits", "hankel non-symmetric decay", v40 < v20, f"{v20:.4f} -> {v40:.4f}")

@@ -393,6 +393,16 @@ def test_verify_quick_suites(capsys):
     assert "[PASS]" in out and "FAIL" not in out
 
 
+def test_verify_monte_carlo_check_prints_its_bar():
+    # aa's bar at 200,000 points is near 2e-10, which a fixed five decimals
+    # would print as 0.00000: the check gives the value to 12 digits, the bar
+    # to 2 and z
+    from balanced_spectra import verify
+
+    (check,) = [c for c in verify.suite_limits() if c.name == "Monte Carlo limit within 4 bars of 2"]
+    assert check.passed and check.detail == "1.99999999965 +- 1.9e-10, z = -1.81"
+
+
 def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "--suite", "nope") == 2
 

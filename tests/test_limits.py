@@ -428,18 +428,22 @@ def _reference_integral(kind, y, a, b, lo, hi):
 
 def _reference_mc(ctx, eps, samples, batches, seed):
     """The importance-sampled estimate on whole batches.  The integer shifts
-    c_j of every batch come first, then each batch's ``rng.random`` draws, one
-    row of k + 1 uniforms a point, whichever coordinates the word draws.  Row
-    i of a batch of n rows takes u_0 = (i + U_i) / n, smoothed by phi(v) =
-    v^2 (3 - 2v) with weight phi'(v) = 6 v (1 - v), and u_j = ((i z_j + c_j)
-    mod n + U_j) / n in integer arithmetic, z the batch lattice's multipliers
-    and c_j the batch's shift, for each drawn coordinate j, smoothed by phi
-    too, its phi' taken into the weight as it is drawn.  Each form is summed
-    over all its columns; a drawn coordinate comes from ``_reference_draw``,
-    a coordinate integrated out from ``_reference_integral`` over the
-    interval where every dependent form that reads it lies in [lo, hi], and
-    the other dependent forms of more than one term are checked; the result
-    is the mean of the batch means."""
+    c_j of every batch come first, then each batch's ``rng.random`` draws.  A
+    word that draws d >= 1 coordinates draws one row of 1 + d uniforms a
+    point, U_0 and then one U_j per drawn coordinate: row i of a batch of n
+    rows takes u_0 = (i + U_0) / n, and u_j = ((i z_j + c_j) mod n + U_j) / n
+    in integer arithmetic, z the batch lattice's multipliers and c_j the
+    batch's shift, for each drawn coordinate j, smoothed by phi(v) = v^2 (3 -
+    2v), its phi'(v) = 6 v (1 - v) taken into the weight as it is drawn.  A
+    word that draws nothing draws one U a pair of rows, rows 2r and 2r + 1
+    taking v = (2r + U) / n and (2r + 2 - U) / n, folds v to w = min(v, 1 - v)
+    and takes u_0 = phi(w), its phi'(w) into the weight last.  u_0 is smoothed
+    by phi, with weight phi'(u_0).  Each form is summed over all its columns;
+    a drawn coordinate comes from ``_reference_draw``, a coordinate
+    integrated out from ``_reference_integral`` over the interval where every
+    dependent form that reads it lies in [lo, hi], and the other dependent
+    forms of more than one term are checked; the result is the mean of the
+    batch means."""
     lo, hi = trimmed_interval(ctx.link, eps)
     per_batch = max(1, math.ceil(samples / batches))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -454,10 +458,18 @@ def _reference_mc(ctx, eps, samples, batches, seed):
         return sum(c * x[j] for j, c in enumerate(coeffs))
 
     for batch in range(batches):
-        u = rng.random((per_batch, ctx.k + 1)).T
-        for j, col in enumerate(drawn):
-            u[col] = ((i * z[j] + shifts[batch, j]) % per_batch + u[col]) / per_batch
-        v = (i + u[0]) / per_batch
+        u = np.full((ctx.k + 1, per_batch), np.nan)
+        if drawn:
+            draws = rng.random((per_batch, 1 + len(drawn))).T
+            for j, col in enumerate(drawn):
+                u[col] = ((i * z[j] + shifts[batch, j]) % per_batch + draws[1 + j]) / per_batch
+            v, jacobian = (i + draws[0]) / per_batch, 1.0
+        else:
+            pairs = rng.random(-(-per_batch // 2))
+            jitter = np.repeat(pairs, 2)[:per_batch]
+            jitter[1::2] = 1.0 - jitter[1::2]
+            w = np.minimum((i + jitter) / per_batch, 1.0 - (i + jitter) / per_batch)
+            v, jacobian = w * w * (3.0 - 2.0 * w), 6.0 * w * (1.0 - w)
         x = np.zeros((ctx.k + 1, per_batch))
         x[0] = lo + (hi - lo) * (v * v * (3.0 - 2.0 * v))
         weight = 6.0 * v * (1.0 - v)
@@ -481,7 +493,7 @@ def _reference_mc(ctx, eps, samples, batches, seed):
             if np.count_nonzero(ctx.coeffs[f]) > 1 and not any(ctx.coeffs[f, col] for col in integrated):
                 value = form(ctx.coeffs[f], x)
                 weight[(value < lo) | (value > hi)] = 0.0
-        means[batch] = weight.mean()
+        means[batch] = (weight * jacobian).mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
@@ -491,7 +503,9 @@ def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
     # rows, in place in one scratch set, sums each form left to right over its
     # nonzero terms and takes one mean per batch: the same floats as whole
     # batches, not close ones.  Batches of 1 and 2 rows, one block, one
-    # block + 1 and a ragged tail
+    # block + 1 and a ragged tail; the block after the first starts on an odd
+    # row, whose antithetic partner, for the word that draws nothing, is the
+    # last row of the block before
     block = limits_module._MC_BLOCK
     for k in (1, 2, 3):
         for word in enumerate_pair_matched_words(k):
@@ -503,14 +517,88 @@ def test_monte_carlo_blocks_reproduce_the_whole_batch_rung(kind):
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
 def test_monte_carlo_keeps_the_stream_of_words_that_draw_nothing(kind):
-    # aa and aabb weigh x_0 alone and draw no shifts.  Their floats were
-    # recorded before the lattice jitter and the conditional step, and they
-    # held when the words that draw went over to reading all k + 1 uniforms a
-    # row too: the one stream layout left these words alone
-    recorded = {"aa": (1.999999663197097, 4.937272634823394e-07), "aabb": (4.71013265855451, 4.405824172476943e-06)}
+    # aa and aabb weigh x_0 alone and draw no shifts, so they draw one
+    # uniform a pair of rows, and x_0's strata are paired antithetically,
+    # folded and smoothed twice: this pins the floats of that stream, the
+    # same under every pattern
+    recorded = {"aa": (2.0000000000971134, 1.9278360634003038e-10), "aabb": (4.71013186705405, 9.812732810645115e-10)}
     for letters, (value, se) in recorded.items():
         est = limit_word_moment(Word(letters), kind, "mc-ladder", samples=200_000, seed=3)
         assert (est.value, est.std_error) == (value, se), letters
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16_384, 16_385])
+def test_antithetic_pairs_keep_each_row_in_its_stratum(n):
+    # the word that draws nothing draws one U a pair of rows: rows 2r and
+    # 2r + 1 sit at v = (2r + U) / n and (2r + 2 - U) / n, each in its own
+    # stratum, and an odd batch's last row at (i + U) / n; u_0 is phi of the
+    # fold min(v, 1 - v), and the extra weight phi' of it.  The block at 8191
+    # starts on an odd row, whose U the block before drew
+    block = min(n, limits_module._MC_BLOCK)
+    uniforms, jacobian = limits_module._batch_blocks(np.random.default_rng(n), n, 1, [], 2, np.empty(block),
+                                                     np.empty(block, dtype=bool))
+    replay = np.random.default_rng(n)
+    replay.integers(n, size=(2, 0))  # the shifts of no drawn coordinate, as _batch_blocks draws them
+    i = np.arange(n, dtype=float)
+    for b in range(2):
+        blocks = [(uniforms(b, start, m)[0].copy(), jacobian[:m].copy())
+                  for start, m in ((start, min(block, n - start)) for start in range(0, n, block))]
+        u0, jac = (np.concatenate(parts) for parts in zip(*blocks))
+        jitter = np.repeat(replay.random(-(-n // 2)), 2)[:n]
+        jitter[1::2] = 1.0 - jitter[1::2]
+        v = (jitter + i) / n
+        assert np.all((i / n <= v) & (v <= (i + 1.0) / n)), (n, b)
+        w = np.minimum(v, 1.0 - v)
+        assert np.array_equal(u0, w * w * (3.0 - 2.0 * w)) and np.array_equal(jac, 6.0 * w * (1.0 - w)), (n, b)
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.BT, MatrixKind.BH])
+def test_monte_carlo_floats_do_not_depend_on_the_block_length(monkeypatch, kind):
+    # blocks of 7 rows start on odd rows every other block, where the word
+    # that draws nothing takes its first row's antithetic partner from the
+    # block before: the same floats as blocks of 8191, which hold a batch of
+    # 1001 rows whole
+    for k in (1, 2, 3):
+        for word in enumerate_pair_matched_words(k)[:: 1 if k < 3 else 3]:
+            ctx = _WordContext(word, kind)
+            whole = _mc_truncated(ctx, 0.0, 2002, 2, 17)
+            with monkeypatch.context() as patch:
+                patch.setattr(limits_module, "_MC_BLOCK", 7)
+                assert _mc_truncated(ctx, 0.0, 2002, 2, 17) == whole, word
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_the_fold_keeps_the_weight_of_the_words_that_draw_nothing(kind):
+    # _batch_blocks folds u_0 onto [0, 1/2] for a word that draws nothing.
+    # That leaves its weight as it is: up to k = 4 such a word is aabb.. of
+    # its k, whose steps take the normalizer of the form x_0 alone and check
+    # no form, and that normalizer is symmetric about the middle of [lo, hi]
+    # on every trimmed box
+    for k in range(1, 5):
+        nothing = [w.letters for w in enumerate_pair_matched_words(k)
+                   if all(mode != "draw" for _, _, mode, _ in _WordContext(w, kind).steps)]
+        assert nothing == ["".join(c + c for c in "abcdefg"[:k])], (k, nothing)
+        ctx = _WordContext(Word(nothing[0]), kind)
+        assert not ctx.checks and {mode for _, _, mode, _ in ctx.steps} <= {"z", "same"}
+        assert all(list(ctx.coeffs[row]) == [1] + [0] * k for row, _, mode, _ in ctx.steps if mode == "z")
+    for eps in (0.0, 0.1, 0.5):
+        lo, hi = trimmed_interval(kind, eps)
+        x = lo + (hi - lo) * np.linspace(0.01, 0.99, 99)
+        mirrored = lo + (hi - lo) * np.linspace(0.99, 0.01, 99)
+        assert np.allclose(occurrence_draw(kind, x, None, lo, hi)[1], occurrence_draw(kind, mirrored, None, lo, hi)[1],
+                           rtol=1e-13, atol=0.0), eps
+
+
+def test_antithetic_pairs_narrow_the_bar_of_a_word_that_draws_nothing():
+    # BH aabb weighs x_0 alone.  At 200,000 points over seeds 0-39 its bar
+    # ran from 2.3e-6 to 5.2e-6 with one independent jitter per stratum, and
+    # from 7.1e-10 to 1.4e-9 with the folded, twice-smoothed pairs, where it
+    # still covers 8 - pi^2 / 3
+    exact = 8.0 - math.pi**2 / 3.0
+    for seed in range(6):
+        est = limit_word_moment(Word("aabb"), MatrixKind.BH, "mc-ladder", samples=200_000, seed=seed)
+        assert 0.0 < est.std_error < 1e-8, seed
+        assert abs(est.value - exact) <= 4.0 * est.std_error, seed
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -590,15 +678,15 @@ def test_monte_carlo_budget_guard(monkeypatch):
         limit_moment(2, MatrixKind.BT, samples=huge, threads=1)
     with pytest.raises(ResourceLimitError, match="GiB per batch"):
         compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, samples=huge)
-    # the edge at k = 1: 1 float64 per row of a batch and 13 per row of one
+    # the edge at k = 1: 1 float64 per row of a batch and 14 per row of one
     # block, 2^30 bytes in all
-    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK
+    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 14 * limits_module._MC_BLOCK
     limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch)
     with pytest.raises(ResourceLimitError):
         limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1)
-    # and at k = 3, 19 per row of one block (two rows of the residue table)
-    # and the batches' shifts, two int64 each
-    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 19 * limits_module._MC_BLOCK - 2 * limits_module.BATCHES
+    # and at k = 3, 22 per row of one block (two rows of the residue table,
+    # three of the stream) and the batches' shifts, two int64 each
+    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 22 * limits_module._MC_BLOCK - 2 * limits_module.BATCHES
     limits_module._plan(3, "mc-ladder", limits_module.BATCHES * per_batch)
     with pytest.raises(ResourceLimitError):
         limits_module._plan(3, "mc-ladder", limits_module.BATCHES * per_batch + 1)
@@ -608,13 +696,14 @@ def test_monte_carlo_budget_guard(monkeypatch):
 
 
 def test_monte_carlo_guard_bounds_the_peak():
-    # one call's tracemalloc peak against 1 float64 per row of a batch, 3k + 10
+    # one call's tracemalloc peak against 1 float64 per row of a batch, 4k + 10
     # per row of one block, no longer than the batch (_plan counts a whole
     # block; the residue table takes one row for each drawn coordinate, at
-    # most k - 1), and one int64 per batch and drawn coordinate for the
-    # lattice shifts, at a batch below one block and at one of several; the
-    # words differ in how many forms and draws they make, so every word up to
-    # k = 3 and a fifth of those at k = 4
+    # most k - 1, and the stream 1 + d uniforms a row, at most k), and one
+    # int64 per batch and drawn coordinate for the lattice shifts, at a batch
+    # below one block and at one of several; the words differ in how many
+    # forms and draws they make, so every word up to k = 3 and a fifth of
+    # those at k = 4
     _mc_truncated(_WordContext(AA, MatrixKind.T), 0.0, 200, 2, 0)  # numpy's one-time allocations
     for kind, rows, k in itertools.product((MatrixKind.T, MatrixKind.H), (1000, 20_000), (1, 2, 3, 4)):
         block = min(rows, limits_module._MC_BLOCK)
@@ -627,7 +716,7 @@ def test_monte_carlo_guard_bounds_the_peak():
             finally:
                 tracemalloc.stop()
             shifts = 2 * (k - 1)  # the lattice shifts of both batches
-            assert peak <= 8 * (rows + (3 * k + 10) * block + shifts), (kind, rows, word, peak / 8)
+            assert peak <= 8 * (rows + (4 * k + 10) * block + shifts), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
@@ -1051,7 +1140,7 @@ def test_batch_lattice_multipliers_are_units_with_small_quotients():
     # large quotient early (frac(g^-4) = [0; 1, 1, 1, 7, 207, ...] at d = 6)
     # that no unit within 200 of it escapes at large n
     _batch_lattice, largest_quotient = limits_module._batch_lattice, limits_module._largest_quotient
-    ceiling = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK  # _plan's largest batch, at k = 1
+    ceiling = limits_module.INTEGRAND_BUDGET // 8 - 14 * limits_module._MC_BLOCK  # _plan's largest batch, at k = 1
     bounds = {1: 6, 2: 12}
     for n, d in itertools.product((1, 2, 3, 8191, 125_000, 125_003, ceiling), range(1, MAX_K)):
         z = _batch_lattice(n, d)
@@ -1069,15 +1158,17 @@ def test_batch_lattice_residues_are_exact_at_the_budget_ceiling():
     # the residues come from a table of r z mod n plus a per-block offset in
     # Python ints, so they are exact where i z passes 2^53, which float64
     # products of i and z would round: the last block of a batch at _plan's
-    # largest size, drawn from a generator the test replays
-    n = limits_module.INTEGRAND_BUDGET // 8 - 13 * limits_module._MC_BLOCK
+    # largest size, drawn from a generator the test replays, one row of
+    # 1 + d = 2 uniforms a point
+    n = limits_module.INTEGRAND_BUDGET // 8 - 14 * limits_module._MC_BLOCK
     block = limits_module._MC_BLOCK
     start = (n - 1) // block * block
     m = n - start
     (z,) = limits_module._batch_lattice(n, 1)
     assert start * z > 2**53
-    uniforms = limits_module._batch_blocks(np.random.default_rng(5), n, 1, [1], 2, np.empty(block),
-                                           np.empty(block, dtype=bool))
+    uniforms, jacobian = limits_module._batch_blocks(np.random.default_rng(5), n, 1, [1], 2, np.empty(block),
+                                                     np.empty(block, dtype=bool))
+    assert jacobian is None
     replay = np.random.default_rng(5)
     shifts = replay.integers(n, size=(2, 1))
     draws = replay.random((m, 2))
