@@ -11,6 +11,7 @@ whose timing fields differ between otherwise identical runs).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
@@ -299,6 +300,7 @@ def cmd_simulate(cfg: Simulate) -> int:
         cfg, itertools.chain(files, dumps), {"solve": t_solve},
         derived_seeds=[spec.source["seed"] for spec in spectra_list],
         realized_dimension=spectra_list[0].n,
+        solve_routes=collections.Counter(spec.source["route"] for spec in spectra_list),
         histogram={"overflow": hist.overflow, "total": hist.total, "range": [edges[0], edges[-1]]},
     )
     print(f"simulate: wrote {len(names)} result files to {Path(cfg.out)}")

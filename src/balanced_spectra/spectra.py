@@ -101,10 +101,12 @@ def eigenvalues_symmetric(mat, extra_source: dict | None = None) -> Spectrum:
     """Solve for the full spectrum of a symmetric matrix.
 
     Accepts a ``PatternedMatrix`` (ensemble metadata is recorded on the
-    spectrum) or a plain symmetric ndarray.
+    spectrum) or a plain symmetric ndarray.  The spectrum's ``source`` records
+    the solve's ``route``, ``"halves"`` or ``"full"`` (see ``eigh``).
     """
     a = _entries_of(mat)
-    values = symmetric_eigenvalues(a)  # checks a is square, finite and symmetric
+    # checks a is square, finite and symmetric
+    values, route = symmetric_eigenvalues(a, return_route=True)
     n = a.shape[0]
 
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
@@ -119,14 +121,9 @@ def eigenvalues_symmetric(mat, extra_source: dict | None = None) -> Spectrum:
             f"Frobenius identity violated: gap {frob_gap:.3e}", index=None
         )
 
-    source: dict = {}
+    source: dict = {"route": route}
     if isinstance(mat, PatternedMatrix):
-        source = {
-            "kind": mat.kind.value,
-            "n": mat.n,
-            "parent_n": mat.parent_n,
-            "seed": mat.source_seed,
-        }
+        source.update(kind=mat.kind.value, n=mat.n, parent_n=mat.parent_n, seed=mat.source_seed)
     if extra_source:
         source.update(extra_source)
     return Spectrum(eigenvalues=values, n=n, source=source)

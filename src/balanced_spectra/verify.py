@@ -162,6 +162,17 @@ def suite_spectra() -> list[CheckResult]:
         fsub = spectra.EmpiricalDistribution.from_spectrum(spectra.eigenvalues_symmetric(sub))
         trim_ok &= spectra.levy_distance(full, fsub) <= eps + 1e-9
     _check(out, "spectra", "trim levy bound (eps 0.1, 0.2)", trim_ok)
+
+    # symmetric Toeplitz input is centrosymmetric: two half-size solves against one full one
+    halves_ok, worst = True, 0.0
+    for kind, n in ((MatrixKind.T, 50), (MatrixKind.BT, 51)):
+        seq = generate_sequence(Distribution.STANDARD_NORMAL, needed_length(kind, n), derive_seed(500, n))
+        a = build_matrix(kind, seq, n).entries
+        values, route = eigh.symmetric_eigenvalues(a, return_route=True)
+        gap = float(np.max(np.abs(values - np.linalg.eigvalsh(a)))) / max(1.0, float(np.max(np.abs(a))))
+        halves_ok &= route == "halves" and gap <= 1e-13
+        worst = max(worst, gap)
+    _check(out, "spectra", "centrosymmetric halves vs full eigvalsh (t n=50, bt n=51)", halves_ok, f"relative gap {worst:.1e}")
     return out
 
 

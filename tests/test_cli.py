@@ -79,6 +79,16 @@ def test_simulate_threads_do_not_change_results(tmp_path):
         assert manifest["derived_seeds"] == [derive_seed(3, r) for r in range(4)]
 
 
+@pytest.mark.parametrize("kind, n, eps, routes", [
+    ("bt", 31, "0", {"halves": 3}), ("bt", 40, "0.1", {"halves": 3}), ("bh", 31, "0", {"full": 3}),
+])
+def test_simulate_manifest_records_solve_routes(tmp_path, kind, n, eps, routes):
+    out = tmp_path / kind
+    args = ["simulate", "--kind", kind, "--n", str(n), "--eps", eps, "--reps", "3", "--threads", "2"]
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["solve_routes"] == routes
+
+
 @pytest.mark.parametrize(
     "args, results",
     [

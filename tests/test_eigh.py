@@ -3,7 +3,27 @@ import pytest
 
 from balanced_spectra.eigh import symmetric_eigenvalues
 from balanced_spectra.errors import InvalidArgumentError, SolverFailureError
+from balanced_spectra.experiments import realization_matrix
+from balanced_spectra.inputs import Distribution
+from balanced_spectra.matgen import MatrixKind
 from balanced_spectra.spectra import eigenvalues_symmetric, trace_power
+
+
+def _entries(kind, n, seed, dist=Distribution.STANDARD_NORMAL, eps=0.0):
+    return realization_matrix(kind, dist, n, seed, eps).entries
+
+
+def _random_symmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a + a.T
+
+
+def _one_ulp_off_centrosymmetric():
+    # a symmetric pair moved by one ulp: still symmetric, no longer its own rotation
+    a = _entries(MatrixKind.BT, 40, 5).copy()
+    assert np.array_equal(a, a[::-1, ::-1])
+    a[3, 10] = a[10, 3] = np.nextafter(a[3, 10], np.inf)
+    return a
 
 
 def test_diagonal_matrix():
@@ -86,17 +106,63 @@ def test_non_finite_input_rejected(solve, bad):
 
 
 def test_lapack_failure_becomes_solver_failure(monkeypatch):
+    halves, full = np.eye(3), np.diag([1.0, 2.0, 3.0])
+    assert symmetric_eigenvalues(halves, return_route=True)[1] == "halves"
+    assert symmetric_eigenvalues(full, return_route=True)[1] == "full"
+
     def diverge(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
-    with pytest.raises(SolverFailureError, match="did not converge"):
-        symmetric_eigenvalues(np.eye(3))
-    with pytest.raises(SolverFailureError):
-        eigenvalues_symmetric(np.eye(3))
+    for a in (halves, full):
+        with pytest.raises(SolverFailureError, match="did not converge"):
+            symmetric_eigenvalues(a)
+        with pytest.raises(SolverFailureError):
+            eigenvalues_symmetric(a)
 
 
 def test_degenerate_spectra():
     assert np.allclose(symmetric_eigenvalues(np.zeros((6, 6))), np.zeros(6))
     values = symmetric_eigenvalues(7.0 * np.eye(5))
     assert np.allclose(values, 7.0)
+
+
+def _assert_halves_match_full(a):
+    values, route = symmetric_eigenvalues(a, return_route=True)
+    assert route == "halves"
+    assert np.all(np.diff(values) >= 0)
+    gap = float(np.max(np.abs(values - np.linalg.eigvalsh(a))))
+    assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(a))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 36, 37, 400, 401])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.BT])
+def test_toeplitz_halves_match_the_full_solve(kind, n):
+    a = _entries(kind, n, n)
+    assert np.array_equal(a, a[::-1, ::-1])
+    _assert_halves_match_full(a)
+
+
+def test_trimmed_and_rademacher_toeplitz_take_the_halves():
+    trimmed = _entries(MatrixKind.BT, 400, 8, eps=0.1)
+    assert trimmed.shape == (360, 360)
+    _assert_halves_match_full(trimmed)
+    _assert_halves_match_full(_entries(MatrixKind.BT, 101, 9, Distribution.RADEMACHER))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.array([[-2.5]]),
+        lambda: _entries(MatrixKind.BH, 60, 4),
+        lambda: _random_symmetric(50, 6),
+        _one_ulp_off_centrosymmetric,
+    ],
+    ids=["n1", "bh", "random", "one-ulp-off"],
+)
+def test_other_input_keeps_the_full_solve_bytes(make):
+    a = make()
+    values, route = symmetric_eigenvalues(a, return_route=True)
+    assert route == "full"
+    assert np.array_equal(values, np.linalg.eigvalsh(a))
+    assert np.array_equal(symmetric_eigenvalues(a), values)

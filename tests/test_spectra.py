@@ -30,6 +30,8 @@ def test_spectrum_metadata_and_order():
     assert np.all(np.diff(spec.eigenvalues) >= 0)
     assert spec.source["kind"] == "bt"
     assert spec.source["seed"] == mat.source_seed
+    assert spec.source["route"] == "halves"  # a Toeplitz matrix is centrosymmetric
+    assert eigenvalues_symmetric(np.diag([1.0, 2.0])).source == {"route": "full"}
 
 
 def test_spectrum_trace_invariant():
