@@ -39,12 +39,15 @@ smooth it, and the uniform behind every later draw, by phi(v) = v^2 (3 - 2v),
 the weight taking phi'(v), which vanishes at both ends, where the normalizers
 are log-singular and the weight kinks: the non-crossing words, whose weight
 reads x_0 alone, get bars orders of magnitude narrower, and the crossing
-words, which draw, narrower too.  The Monte Carlo puts the uniforms of its
-later draws on a jittered rank-1 lattice that spans the batch, a Latin
-hypercube whose permutations are the lattice's (Tang, JASA 88, 1993), with
-Fibonacci-type multipliers, so they are stratified jointly with x_0's over
-the whole batch; it draws only the uniforms the kernel reads, and pairs the
-strata of the one word that draws nothing antithetically (``_batch_blocks``).
+words, which draw, narrower too.  For the one word that draws nothing, both
+fold x_0's uniform and smooth it twice (``_weight_on``), and a bar is never
+below the rounding of the mean (``_word_estimate``).  The Monte Carlo puts
+the uniforms of its later draws on a jittered rank-1 lattice that spans the
+batch, a Latin hypercube whose permutations are the lattice's (Tang, JASA
+88, 1993), with Fibonacci-type multipliers, so they are stratified jointly
+with x_0's over the whole batch; it draws only the uniforms the kernel
+reads, and pairs the strata of the word that draws nothing antithetically
+(``_batch_blocks``).
 A coordinate that no later form reads is not drawn: its normalizer alone is
 taken, or, when checked forms read it, it is integrated out in closed form
 over the interval where they hold (conditional Monte Carlo: Owen, ch. 8-10).
@@ -79,6 +82,7 @@ from .words import (
 DEFAULT_SAMPLES = 2_000_000
 COMPARE_SAMPLES = 200_000  # points per word of compare_empirical_limit's limits
 BATCHES = 16  # batches (lattice shifts) per estimate, whose spread gives its error bar
+ROUNDING_BAR = 3.0  # the least error bar of a word's estimate, in float64 eps |value| (_word_estimate)
 LATTICE_WEIGHT = 0.5  # product weights gamma_j = 0.5^j of the lattice construction's coordinates
 TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
 TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
@@ -111,7 +115,7 @@ class MomentEstimate:
 class _WordContext:
     """Precomputed evaluation data for one (word, pattern) pair."""
 
-    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "needed", "k", "steps", "checks")
+    __slots__ = ("word", "link", "coeffs", "dependent", "gen_pairs", "needed", "k", "steps", "checks", "drawn")
 
     def __init__(self, word: Word, kind: MatrixKind):
         self.word = word
@@ -155,6 +159,7 @@ class _WordContext:
             else:
                 mode = "z"
             self.steps.append((row, col, mode, covered))
+        self.drawn = [col for _, col, mode, _ in self.steps if mode == "draw"]
 
 
 def _integrand_on(ctx: _WordContext, forms, x, lo, hi, occ, mask: np.ndarray) -> np.ndarray:
@@ -343,15 +348,35 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
     interval [a, b], and the step's factor is the density's mass there times
     Z, the integral of 1 / occ(L_{i-1}, x) over [a, b], a difference of two
     logarithms (``matgen.occurrence_integral``), in place of Z and the
-    forms' indicator.  The row of ``x`` of a coordinate not drawn is left as
-    it was.
+    forms' indicator.
+
+    A word whose steps draw nothing is aabb.. of its k, weight phi'(u_0)
+    Z(x_0)^k, Z the normalizer of the form x_0: log-singular at both ends of
+    [lo, hi] and symmetric about its middle.  Its u_0 is folded, w = min(u_0,
+    1 - u_0), and smoothed once more, to phi(w), the weight taking phi'(w)
+    after every step.  By the symmetry the fold keeps the weight, and it
+    keeps x_0 off hi, where an x_0 within half an ulp would round to hi and
+    lose its weight.  phi'(phi(w)) phi'(w) vanishes like w^3 at the ends, so
+    the integrand is smooth and periodic: the error of the Monte Carlo's
+    antithetic pairs (``_batch_blocks``), which grows with its second
+    derivative, spreads over all the pairs instead of the few at the ends,
+    and the lattice's shifted grid becomes a periodic trapezoid rule, below
+    float64 rounding at 2,000,000 points.  No step of such a word makes or
+    reads a row of ``x`` after x_0, so x[1] holds phi'(w); otherwise the row
+    of a coordinate not drawn is left as it was.
 
     ``work``, six float64 rows, and ``flags``, two boolean rows, are scratch
     it overwrites; the weights are returned in work[0].
     """
     weight, z, form, product, *draw_work = work
+    root = u[0]
+    if not ctx.drawn:
+        fold_factor = x[1]
+        fold_factor.fill(1.0)  # 1.0 times phi'(w) is phi'(w) exactly
+        root = _smooth(np.minimum(root, np.subtract(1.0, root, out=z), out=form), fold_factor, z, product,
+                       out=draw_work[0])
     weight.fill(1.0)  # 1.0 times phi'(u_0) is phi'(u_0) exactly
-    np.multiply(_smooth(u[0], weight, z, form, out=product), hi - lo, out=x[0])
+    np.multiply(_smooth(root, weight, z, form, out=product), hi - lo, out=x[0])
     x[0] += lo  # lo + (hi - lo) t, t in [0, 1], rounds into [lo, hi] on both patterns' intervals
     for row, col, mode, covered in ctx.steps:
         if mode == "same":  # z still holds the previous step's normalizer
@@ -381,6 +406,8 @@ def _weight_on(ctx: _WordContext, u: np.ndarray, x: np.ndarray, lo: float, hi: f
         np.less(y, lo, out=outside)
         outside |= np.greater(y, hi, out=above)
         np.copyto(weight, 0.0, where=outside)
+    if not ctx.drawn:
+        weight *= fold_factor
     return weight
 
 
@@ -484,11 +511,10 @@ def _lattice_blocks(n: int, shifts: np.ndarray):
 
 def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches: int, t: np.ndarray,
                   wrap: np.ndarray):
-    """The block source of ``_mc_truncated``'s Monte Carlo, n rows a batch,
-    and its row of extra weights: (b, start, m) -> the uniforms u, shape
-    (k + 1, m), of rows i = start .. start + m - 1 of batch b, whose weights
-    take the factors ``jacobian[:m]`` as well when ``jacobian`` is not None.
-    Rows of u that the word's steps do not read are not written.
+    """The block source of ``_mc_truncated``'s Monte Carlo, n rows a batch:
+    (b, start, m) -> the uniforms u, shape (k + 1, m), of rows i = start ..
+    start + m - 1 of batch b.  Rows of u that the word's steps do not read
+    are not written.
 
     A word whose steps draw d = len(drawn) >= 1 coordinates draws 1 + d
     uniforms of ``rng`` a row, U_0 and then U_j for each coordinate j in
@@ -501,26 +527,15 @@ def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches
     once, plus each block's offset (start z_j + c_j) mod n in Python ints:
     both are below n, so their sum is exact and one subtraction wraps it.
 
-    A word that draws nothing is aabb.. of its k: its weight is phi'(u_0)
-    Z(x_0)^k, Z the normalizer of the form x_0, log-singular at both ends of
-    [lo, hi] and symmetric about its middle.  It draws one uniform U a pair
-    of rows: rows 2r and 2r + 1 take v = (2r + U) / n and (2r + 2 - U) / n,
-    reflected about the boundary of their strata, so the pair's error
-    cancels to first order (antithetic pairs: Haber, Math. Comp. 21, 1967),
-    and the last row of an odd batch takes (i + U) / n.  A block that starts
-    on an odd row takes U from the block before, so the floats do not depend
-    on how a batch is cut, in order, into blocks.  What is left of a pair's
-    error grows with the weight's second derivative, which phi'(u_0) Z(x_0)
-    makes singular at the ends, so that the few pairs there would carry most
-    of a batch's variance and skew its bar.  So v is folded, min(v, 1 - v),
-    and smoothed once more, u_0 = phi(v) with the factor phi'(v) in
-    ``jacobian``: phi'(phi(v)) phi'(v) vanishes like v^3, and the error
-    spreads over all the pairs (32,000 batch means of aa at 12,500 rows had
-    skew 0.00 and kurtosis 3.01, and the t of 16 of them the tail of t with
-    15 degrees of freedom).  The fold leaves the weight as it is, by the
-    symmetry, and keeps x_0 off the end hi, where a float64 x_0 within half
-    an ulp would round to hi and drop its weight.  Each row is still in its
-    stratum and uniform, and the batches are independent.
+    A word that draws nothing (``_weight_on`` folds its u_0) draws one
+    uniform U a pair of rows: rows 2r and 2r + 1 take u_0 = (2r + U) / n and
+    (2r + 2 - U) / n, reflected about the boundary of their strata, so the
+    pair's error cancels to first order (antithetic pairs: Haber, Math.
+    Comp. 21, 1967), and the last row of an odd batch takes (i + U) / n.  A
+    block that starts on an odd row takes U from the block before, so the
+    floats do not depend on how a batch is cut, in order, into blocks.  Each
+    row is still in its stratum and uniform, and the batches are
+    independent.
 
     t and wrap, a float64 and a boolean row of a block, are scratch."""
     d = len(drawn)
@@ -528,7 +543,6 @@ def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches
     shifts = rng.integers(n, size=(batches, d))
     rows = min(n, _MC_BLOCK)
     stream, u = np.empty(rows * (1 + d) if d else (rows + 1) // 2), np.empty((k + 1, rows))
-    jacobian = None if d else np.empty(rows)
     index = np.arange(rows, dtype=float)  # start + r at the block starting at start
     table = np.empty((d, rows))  # row by row: a broadcast product would take a temporary buffer
     for row, z_j in zip(table, z):
@@ -551,14 +565,6 @@ def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches
                 partner = float(pairs[-1])
             v += index[:m]
             v /= n
-            jac, scratch = jacobian[:m], t[:m]
-            np.minimum(v, np.subtract(1.0, v, out=scratch), out=v)
-            np.multiply(v, 6.0, out=jac)  # phi'(v) and phi(v) as _smooth makes them
-            jac *= np.subtract(1.0, v, out=scratch)
-            np.multiply(v, -2.0, out=scratch)
-            scratch += 3.0
-            v *= v
-            v *= scratch
             return u[:, :m]
         draws = rng.random(out=stream[: m * (1 + d)].reshape(m, 1 + d)).T
         np.add(index[:m], draws[0], out=v)
@@ -571,7 +577,7 @@ def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches
             np.divide(residue, n, out=u[col, :m])
         return u[:, :m]
 
-    return uniforms, jacobian
+    return uniforms
 
 
 def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int,
@@ -590,10 +596,10 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     ``_lattice_size`` points of the rank-1 lattice under one uniform shift
     drawn from that stream, whose mean is unbiased too; z[0] = 1 makes its
     u_0 a shifted grid, which plays the part of the stratified one.  Only
-    the source of the uniforms differs: ``_weight_on`` smooths the uniforms
-    it reads, draws and integrates out alike for both.  The call allocates
-    one scratch set of block rows and reuses it for every block, so no block
-    allocates an array.
+    the source of the uniforms differs: ``_weight_on`` folds, smooths, draws
+    and integrates out alike for both.  The call allocates one scratch set
+    of block rows and reuses it for every block, so no block allocates an
+    array.
     The batch means are averaged, not their median taken: W is right-skewed,
     and the median of skewed means is biased low.
     """
@@ -608,19 +614,14 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     x = np.empty((ctx.k + 1, rows))
     work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
     if lattice:
-        uniforms, jacobian = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1))), None
+        uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
     else:  # work[-1] and flags[0] are free until the weight is made
-        drawn = [col for _, col, mode, _ in ctx.steps if mode == "draw"]
-        uniforms, jacobian = _batch_blocks(rng, per_batch, ctx.k, drawn, batches, work[-1], flags[0])
+        uniforms = _batch_blocks(rng, per_batch, ctx.k, ctx.drawn, batches, work[-1], flags[0])
     for b in range(batches):
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
-            u = uniforms(b, start, m)
-            weight = _weight_on(ctx, u, x[:, :m], lo, hi, work[:, :m], flags[:, :m])
-            if jacobian is None:
-                vals[start : start + m] = weight
-            else:
-                np.multiply(weight, jacobian[:m], out=vals[start : start + m])
+            vals[start : start + m] = _weight_on(ctx, uniforms(b, start, m), x[:, :m], lo, hi, work[:, :m],
+                                                 flags[:, :m])
         means[b] = vals.mean()
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
@@ -638,27 +639,18 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int
     Monte Carlo batch needs its ceil(points / ``BATCHES``) weights, one
     float64 per row, at most 4k + 10 more per row of one block of
     ``_MC_BLOCK`` rows (the call's scratch: the stream's uniforms, 1 + d a
-    row for a word that draws d coordinates, or half a row and a row of
-    extra weights for the word that draws nothing (``_batch_blocks``), k + 1
-    rows of uniforms, k + 1 coordinate rows, six work rows, two boolean
-    rows, the row of stratum indices and the batch lattice's residue table,
-    one row for each of the d <= k - 1 drawn coordinates; the conditional
-    step and the drawn coordinates' residues work in those rows; worst
-    tracemalloc peaks of one ``_mc_truncated`` call over the words, a sample
-    of them at k >= 5, with batches of 1,000 and 50,000 rows, less the one
-    per batch row, were 13.5, 17.2, 21.1, 25.1, 29.1, 33.1, 37.1 float64
-    per block row at k = 1..7, the excess over the scratch falling
-    with the block's length), and the lattice shifts, one int64 per batch
-    for each of at most k - 1 drawn coordinates (the last step's coordinate
-    is never drawn: only checked forms can read it, and those it integrates
-    out).  A lattice batch needs ``LATTICE_POINT_FLOATS`` per point of its
-    n = ``_lattice_size`` points for the construction of its vector, freed
-    before the weights are made (peak resident set 7.7 float64 per point at
-    n = 125,003, 12.0 at 4,194,319 where the FFT length doubles;
-    tracemalloc, blind to the FFT's own buffers, saw 4.7 and 7.5), and 3k +
-    12 per block row: its points' base row and buffer, k + 1 rows each, k +
-    1 coordinate rows, the work and boolean rows (peaks 13.4, 22.5, 31.5 at
-    k = 1, 4, 7).
+    row for a word that draws d coordinates, half a row for the word that
+    draws nothing (``_batch_blocks``), k + 1 rows of uniforms, k + 1
+    coordinate rows, six work rows, two boolean rows, the row of stratum
+    indices and the batch lattice's residue table, one row for each of the
+    d <= k - 1 drawn coordinates), and the lattice shifts, one int64 per
+    batch for each of at most k - 1 drawn coordinates (the last step's
+    coordinate is never drawn: only checked forms can read it, and those it
+    integrates out).  A lattice batch needs ``LATTICE_POINT_FLOATS`` per
+    point of its n = ``_lattice_size`` points for the construction of its
+    vector, freed before the weights are made, and 3k + 12 per block row:
+    its points' base row and buffer, k + 1 rows each, k + 1 coordinate rows,
+    the work and boolean rows.  CHANGES.md gives the measured peaks of both.
     n^2 < 2^63 keeps the products of two residues mod n in int64.  The budget
     keeps a Monte Carlo batch below 2^27 rows, so its residue table's products
     r z_j < 2^40 are exact in float64.
@@ -695,15 +687,33 @@ def _analytic_zero(kind: MatrixKind, word: Word | None = None, order: int | None
     return MomentEstimate(0.0, 0.0, Method.ANALYTIC, {"kind": kind.link.value, **params}, word)
 
 
-def truncated_word_moment(
-    word: Word,
-    kind: MatrixKind,
-    eps: float,
-    method: str = "mc",
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> MomentEstimate:
+def _word_estimate(word: Word, kind: MatrixKind, eps: float, method: str, samples: int, seed: int,
+                   methods: tuple[str, ...]) -> MomentEstimate:
+    """The estimate of ``truncated_word_moment`` and ``limit_word_moment``
+    (eps = 0): the request checked, then an exact zero or ``_mc_truncated``.
+
+    The bar is at least ``ROUNDING_BAR`` eps |value|, eps = 2^-52, the
+    rounding common to every batch, which no spread of batch means shows.
+    In u = eps / 2 relative: each batch mean rounds to a float, by u, and 16
+    equal means spread by 0; the pairwise sum of the ``BATCHES`` = 16 means,
+    of one sign, rounds at log2(16) = 4 levels, by u each; the division by
+    16 is exact, and the product by hi - lo rounds by u.  6u is 3 eps.  The
+    lattice's error on the words that draw nothing falls below it; Monte
+    Carlo bars, 1e-12 and more, lie far above it.
+    """
+    _plan(word.k, method, samples, methods=methods)
+    if (zero := _analytic_zero(kind, word)) is not None:
+        return zero
+    ctx = _WordContext(word, kind)
+    value, se = _mc_truncated(ctx, eps, samples, BATCHES, seed, lattice=method == "quadrature")
+    se = max(se, ROUNDING_BAR * math.ulp(1.0) * abs(value))
+    params = {"kind": ctx.link.value, **({"eps": eps} if eps else {}), "samples": samples, "batches": BATCHES,
+              "seed": seed}
+    return MomentEstimate(value, se, Method.MC_LADDER if method == "mc" else Method(method), params, word)
+
+
+def truncated_word_moment(word: Word, kind: MatrixKind, eps: float, method: str = "mc", *,
+                          samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MomentEstimate:
     """Word contribution to the eps-trimmed moment (bounded integrand).
 
     On the trimmed box every occurrence fraction is at least eps, so the
@@ -712,35 +722,16 @@ def truncated_word_moment(
     """
     if not 0.0 < eps < 1.0:
         raise InvalidArgumentError("eps must lie in (0, 1)")
-    _plan(word.k, method, samples, methods=("mc", "quadrature"))
-    if (zero := _analytic_zero(kind, word)) is not None:
-        return zero
-    ctx = _WordContext(word, kind)
-    value, se = _mc_truncated(ctx, eps, samples, BATCHES, seed, lattice=method == "quadrature")
-    params = {"kind": ctx.link.value, "eps": eps, "samples": samples, "batches": BATCHES, "seed": seed}
-    method = Method.MC_LADDER if method == "mc" else Method.QUADRATURE
-    return MomentEstimate(value=value, std_error=se, method=method, params=params, word=word)
+    return _word_estimate(word, kind, eps, method, samples, seed, ("mc", "quadrature"))
 
 
-def limit_word_moment(
-    word: Word,
-    kind: MatrixKind,
-    method: str = "mc-ladder",
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> MomentEstimate:
+def limit_word_moment(word: Word, kind: MatrixKind, method: str = "mc-ladder", *, samples: int = DEFAULT_SAMPLES,
+                      seed: int = 0) -> MomentEstimate:
     """Word contribution to the limiting moment (eps = 0): the mean of
     ``BATCHES`` batch means of the importance weight on ``samples`` points in
     all, Monte Carlo draws for ``mc-ladder`` and, for ``quadrature``, a rank-1
     lattice under one random shift per batch."""
-    _plan(word.k, method, samples)
-    if (zero := _analytic_zero(kind, word)) is not None:
-        return zero
-    ctx = _WordContext(word, kind)
-    value, se = _mc_truncated(ctx, 0.0, samples, BATCHES, seed, lattice=method == "quadrature")
-    params = {"kind": ctx.link.value, "samples": samples, "batches": BATCHES, "seed": seed}
-    return MomentEstimate(value=value, std_error=se, method=Method(method), params=params, word=word)
+    return _word_estimate(word, kind, 0.0, method, samples, seed, LIMIT_METHODS)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +762,7 @@ def _class_estimate(words: list[Word], classes: tuple, kind: MatrixKind, method:
 
     def cost(word: Word) -> tuple[int, int, str]:
         ctx = _WordContext(word, kind)
-        return sum(mode == "draw" for _, _, mode, _ in ctx.steps), len(ctx.checks), word.letters
+        return len(ctx.drawn), len(ctx.checks), word.letters
 
     member = min((words[i] for i in members), key=cost)
     return limit_word_moment(member, kind, method, samples=samples * len(members), seed=derive_seed(seed, members[0]))

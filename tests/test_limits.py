@@ -28,7 +28,7 @@ from balanced_spectra.limits import (
     truncated_word_moment,
 )
 from balanced_spectra.words import MAX_K, Word, dihedral_representative, enumerate_pair_matched_words, is_symmetric
-from limit_references import K3_NONCROSSING_WORDS, TOEPLITZ_K2_WORDS, TOEPLITZ_K3_CLASSES, TOTALS
+from limit_references import AABB, AABBCC, K3_NONCROSSING_WORDS, TOEPLITZ_K2_WORDS, TOEPLITZ_K3_CLASSES, TOTALS
 
 AA = Word("aa")
 
@@ -530,26 +530,48 @@ def test_monte_carlo_keeps_the_stream_of_words_that_draw_nothing(kind):
 @pytest.mark.parametrize("n", [1, 2, 3, 16_384, 16_385])
 def test_antithetic_pairs_keep_each_row_in_its_stratum(n):
     # the word that draws nothing draws one U a pair of rows: rows 2r and
-    # 2r + 1 sit at v = (2r + U) / n and (2r + 2 - U) / n, each in its own
-    # stratum, and an odd batch's last row at (i + U) / n; u_0 is phi of the
-    # fold min(v, 1 - v), and the extra weight phi' of it.  The block at 8191
-    # starts on an odd row, whose U the block before drew
+    # 2r + 1 sit at u_0 = (2r + U) / n and (2r + 2 - U) / n, each in its own
+    # stratum, and an odd batch's last row at (i + U) / n; the block source
+    # leaves the fold and the second smoothing to _weight_on.  The block at
+    # 8191 starts on an odd row, whose U the block before drew
     block = min(n, limits_module._MC_BLOCK)
-    uniforms, jacobian = limits_module._batch_blocks(np.random.default_rng(n), n, 1, [], 2, np.empty(block),
-                                                     np.empty(block, dtype=bool))
+    uniforms = limits_module._batch_blocks(np.random.default_rng(n), n, 1, [], 2, np.empty(block),
+                                           np.empty(block, dtype=bool))
     replay = np.random.default_rng(n)
     replay.integers(n, size=(2, 0))  # the shifts of no drawn coordinate, as _batch_blocks draws them
     i = np.arange(n, dtype=float)
     for b in range(2):
-        blocks = [(uniforms(b, start, m)[0].copy(), jacobian[:m].copy())
-                  for start, m in ((start, min(block, n - start)) for start in range(0, n, block))]
-        u0, jac = (np.concatenate(parts) for parts in zip(*blocks))
+        u0 = np.concatenate([uniforms(b, start, min(block, n - start))[0].copy() for start in range(0, n, block)])
         jitter = np.repeat(replay.random(-(-n // 2)), 2)[:n]
         jitter[1::2] = 1.0 - jitter[1::2]
-        v = (jitter + i) / n
-        assert np.all((i / n <= v) & (v <= (i + 1.0) / n)), (n, b)
-        w = np.minimum(v, 1.0 - v)
-        assert np.array_equal(u0, w * w * (3.0 - 2.0 * w)) and np.array_equal(jac, 6.0 * w * (1.0 - w)), (n, b)
+        assert np.array_equal(u0, (jitter + i) / n), (n, b)
+        assert np.all((i / n <= u0) & (u0 <= (i + 1.0) / n)), (n, b)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
+def test_the_kernel_folds_and_smooths_twice_the_root_of_the_words_that_draw_nothing(kind, eps):
+    # for aa, aabb and aabbcc, _weight_on folds u_0 to w = min(u_0, 1 - u_0),
+    # smooths w to phi(w), smooths that as every root is smoothed, and takes
+    # phi'(w) into the weight last, after the normalizers: the same floats
+    # as the fresh-array expression, on the ends, the middle and random
+    # uniforms, and x_0 below hi wherever u_0 is above 0
+    lo, hi = trimmed_interval(kind, eps)
+    for k in (1, 2, 3):
+        u0 = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0], np.random.default_rng(k).random(95)])
+        u = np.vstack([u0, np.full((k, u0.size), np.nan)])  # rows the word does not read
+        ctx = _WordContext(Word("".join(c + c for c in "abc"[:k])), kind)
+        assert not ctx.drawn
+        x = np.full_like(u, np.nan)
+        weight = _weight_on(ctx, u, x, lo, hi, np.empty((6, u0.size)), np.empty((2, u0.size), bool))
+        w = np.minimum(u0, 1.0 - u0)
+        root = w * w * (3.0 - 2.0 * w)
+        x0 = lo + (hi - lo) * (root * root * (3.0 - 2.0 * root))
+        want = 6.0 * root * (1.0 - root)
+        for _ in range(k):
+            want *= _reference_draw(ctx.link, x0, root, lo, hi)[1]
+        assert np.array_equal(x[0], x0) and np.array_equal(weight, want * (6.0 * w * (1.0 - w))), (k, eps)
+        assert np.all(x[0][u0 > 0.0] < hi) and np.array_equal(u[0], u0), (k, eps)
 
 
 @pytest.mark.parametrize("kind", [MatrixKind.BT, MatrixKind.BH])
@@ -569,7 +591,7 @@ def test_monte_carlo_floats_do_not_depend_on_the_block_length(monkeypatch, kind)
 
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_the_fold_keeps_the_weight_of_the_words_that_draw_nothing(kind):
-    # _batch_blocks folds u_0 onto [0, 1/2] for a word that draws nothing.
+    # _weight_on folds u_0 onto [0, 1/2] for a word that draws nothing.
     # That leaves its weight as it is: up to k = 4 such a word is aabb.. of
     # its k, whose steps take the normalizer of the form x_0 alone and check
     # no form, and that normalizer is symmetric about the middle of [lo, hi]
@@ -814,15 +836,15 @@ def test_quadrature_values_are_pinned():
     # the lattice path is the Monte Carlo's weight kernel, smoothed root and
     # conditional step included, on other uniforms, so a change to the kernel
     # that is meant to keep its floats (a plan that skips dead work, a new
-    # scratch layout) must keep these, recorded when limit_moment began to
-    # integrate each rotation/reflection class once: aabb and abba are one
-    # estimate on aabb at twice the points (the Toeplitz entry since every
-    # drawn uniform goes through the smoothing map; no Hankel word draws at
-    # k = 2)
+    # scratch layout) must keep these, recorded when the kernel began to fold
+    # the root of the word that draws nothing on both point sets: aabb and
+    # abba are one estimate on aabb at twice the points, whose bar is the
+    # rounding floor, and abab is the Toeplitz entry's only drawing word (no
+    # Hankel word draws at k = 2)
     recorded = {
-        MatrixKind.BT: (10.840525167708236, 1.2146875557521952e-06,
-                        [4.710131729947052, 1.4202617078141335, 4.710131729947052]),
-        MatrixKind.BH: (9.420263459894104, 2.2739903124856612e-07, [4.710131729947052, 0.0, 4.710131729947052]),
+        MatrixKind.BT: (10.840525440421231, 1.193212277294554e-06,
+                        [4.7101318663035485, 1.4202617078141335, 4.7101318663035485]),
+        MatrixKind.BH: (9.420263732607097, 6.275156216389031e-15, [4.7101318663035485, 0.0, 4.7101318663035485]),
     }
     for kind, (value, se, words) in recorded.items():
         est = limit_moment(2, kind, "quadrature", samples=200_000, seed=7, threads=1)
@@ -833,14 +855,33 @@ def test_quadrature_values_are_pinned():
 @pytest.mark.parametrize("method", LIMIT_METHODS)
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_bar_of_the_pair_word_is_tiny(kind, method):
-    # aa's weight reads x_0 alone, so the smoothed root, stratified (Monte
-    # Carlo) or a shifted grid (lattice), integrates it as a one-dimensional
-    # rule: the bar at 200,000 points is about 5e-7 (Monte Carlo) and 1.3e-8
-    # (lattice), where iid draws of x_0 gave 1.9e-3 and the unsmoothed lattice
-    # 1.0e-5, and it still covers the exact 2
-    est = limit_word_moment(AA, kind, method, samples=200_000, seed=3)
-    assert 0.0 < est.std_error < 1e-5
-    assert abs(est.value - 2.0) <= 4.0 * est.std_error
+    # the weight of aa, aabb and aabbcc reads x_0 alone, so the folded,
+    # twice-smoothed root, in antithetic pairs of strata (Monte Carlo) or a
+    # shifted grid (lattice), integrates it as a one-dimensional rule: at
+    # 200,000 points and seed 3 the bars are 1.9e-10, 9.8e-10 and 7.2e-9
+    # (Monte Carlo) and 1.3e-15, 1.3e-14 and 6.0e-13 (lattice, aa's the
+    # rounding floor), where iid draws of x_0 gave aa 1.9e-3 and the lattice
+    # with the root smoothed once 1.3e-8, and they still cover the exact
+    # values
+    bar = {"mc-ladder": 1e-7, "quadrature": 1e-12}[method]
+    for letters, exact in (("aa", 2.0), ("aabb", AABB), ("aabbcc", AABBCC)):
+        est = limit_word_moment(Word(letters), kind, method, samples=200_000, seed=3)
+        assert 0.0 < est.std_error <= bar, letters
+        assert abs(est.value - exact) <= 4.0 * est.std_error, letters
+
+
+def test_a_lattice_bar_is_positive_where_the_shift_means_agree():
+    # at 2,000,000 points per word the lattice integrates the aabb class of
+    # bh k = 2 (on aabb, at 4,000,000 points) to float64 rounding, and at
+    # seed 10 its 16 shift means are the same float: the bar is then the
+    # rounding floor, ROUNDING_BAR eps |value|, not 0, and it covers
+    # 16 - 2 pi^2 / 3
+    ctx = _WordContext(Word("aabb"), MatrixKind.H)
+    assert _mc_truncated(ctx, 0.0, 4_000_000, limits_module.BATCHES, derive_seed(10, 0), lattice=True)[1] == 0.0
+    est = limit_moment(2, MatrixKind.BH, "quadrature", samples=2_000_000, seed=10, threads=1)
+    floor = limits_module.ROUNDING_BAR * math.ulp(1.0) * est.params["per_word"][0]["value"]
+    assert est.params["per_word"][0]["std_error"] == floor > 0.0
+    assert abs(est.value - TOTALS[(2, "h")][0]) <= 4.0 * est.std_error
 
 
 @pytest.mark.parametrize("method, bar", [("mc-ladder", 2e-6), ("quadrature", 5e-6)])
@@ -1166,9 +1207,8 @@ def test_batch_lattice_residues_are_exact_at_the_budget_ceiling():
     m = n - start
     (z,) = limits_module._batch_lattice(n, 1)
     assert start * z > 2**53
-    uniforms, jacobian = limits_module._batch_blocks(np.random.default_rng(5), n, 1, [1], 2, np.empty(block),
-                                                     np.empty(block, dtype=bool))
-    assert jacobian is None
+    uniforms = limits_module._batch_blocks(np.random.default_rng(5), n, 1, [1], 2, np.empty(block),
+                                           np.empty(block, dtype=bool))
     replay = np.random.default_rng(5)
     shifts = replay.integers(n, size=(2, 1))
     draws = replay.random((m, 2))
