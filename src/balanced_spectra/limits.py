@@ -22,38 +22,18 @@ Three evaluation routes are provided and cross-checked against each other:
 * ``limit_word_moment`` -- the eps = 0 value, which ``limit_moment`` sums
   over the words, integrated once per rotation/reflection class.
 
-Both integrate one importance weight with one kernel.  x_0 is set from its
-uniform (below), and each later generating coordinate x_i, in walk order, is
-drawn from the density proportional to its own factor 1 / occ(L_{i-1}, x_i),
-whose normalizer Z(L_{i-1}) and inverse CDF are closed forms
-(``matgen.occurrence_draw``).  What is left to average, the product of the
-normalizers times the indicator, is at most log-singular, so it has a finite
-variance at eps = 0 itself (importance sampling: Owen, *Monte Carlo theory,
-methods and examples*, 2013, ch. 9).  The uniforms behind the draws are the
+Both integrate one importance weight with one kernel (``_weight_on``): the
+generating coordinates after x_0 are drawn from the densities of their own
+occurrence factors, so what is left to average is at most log-singular and
+has a finite variance at eps = 0 (importance sampling: Owen, *Monte Carlo
+theory, methods and examples*, 2013, ch. 9).  Its uniforms are the
 generator's stream (Monte Carlo: method ``mc-ladder``, or ``mc`` on a
-trimmed box) or the points of a randomly shifted rank-1 lattice (method
-``quadrature``: Sloan & Joe, *Lattice Methods for Multiple Integration*,
-1994), one random shift per batch.  The Monte Carlo stratifies x_0's uniform
-over the rows of a batch (Owen, ch. 8); the lattice's is a shifted grid.  Both
-smooth it, and the uniform behind every later draw, by phi(v) = v^2 (3 - 2v),
-the weight taking phi'(v), which vanishes at both ends, where the normalizers
-are log-singular and the weight kinks: the non-crossing words, whose weight
-reads x_0 alone, get bars orders of magnitude narrower, and the crossing
-words, which draw, narrower too.  For the one word that draws nothing, both
-fold x_0's uniform and smooth it twice (``_weight_on``), and a bar is never
-below the rounding of the mean (``_word_estimate``).  The Monte Carlo puts
-the uniforms of its later draws on a jittered rank-1 lattice that spans the
-batch, a Latin hypercube whose permutations are the lattice's (Tang, JASA
-88, 1993), with Fibonacci-type multipliers, so they are stratified jointly
-with x_0's over the whole batch; it draws only the uniforms the kernel
-reads, and pairs the strata of the word that draws nothing antithetically
-(``_batch_blocks``).
-A coordinate that no later form reads is not drawn: its normalizer alone is
-taken, or, when checked forms read it, it is integrated out in closed form
-over the interval where they hold (conditional Monte Carlo: Owen, ch. 8-10).
-Each call of the kernel allocates one scratch set sized to a block and reuses
-it for every block, so no block allocates an array, and the module keeps no
-state but its cache of lattice vectors: calls may run side by side in threads.
+trimmed box; ``_batch_blocks``) or the points of a randomly shifted rank-1
+lattice (method ``quadrature``: Sloan & Joe, *Lattice Methods for Multiple
+Integration*, 1994; ``_lattice``).  Each call keeps one scratch set sized to
+a block and sums a batch through one chunk of fixed size (``_mc_truncated``),
+so its memory does not grow with the samples, and the module keeps no state
+but its cache of lattice vectors: calls may run side by side in threads.
 """
 
 from __future__ import annotations
@@ -87,11 +67,12 @@ LATTICE_WEIGHT = 0.5  # product weights gamma_j = 0.5^j of the lattice construct
 TOL_EVEN = 0.05  # relative tolerance of compare_empirical_limit, even orders
 TOL_ODD = 0.1  # absolute tolerance of compare_empirical_limit, odd orders
 LIMIT_METHODS = ("mc-ladder", "quadrature")
-INTEGRAND_BUDGET = 2**30  # bytes: the working set of one batch
+INTEGRAND_BUDGET = 2**30  # bytes: the working set of one lattice batch
 LATTICE_POINT_FLOATS = 13  # float64 values per lattice point, an upper bound on the construction's peak
 ENUMERATION_BUDGET = 10**9
 _BLOCK = 1 << 16  # rows per oracle block: its int64 forms stay cache-sized
 _MC_BLOCK = 8191  # rows per Monte Carlo block: its coordinates and forms stay in L2
+_SUM_CHUNK = 8192  # values per subtree of a batch's pairwise sum (_tree_sum): at least numpy's 128-value leaf
 
 
 class Method(Enum):
@@ -580,26 +561,50 @@ def _batch_blocks(rng: np.random.Generator, n: int, k: int, drawn: list, batches
     return uniforms
 
 
+def _tree_sum(n: int, blocks, chunk: np.ndarray):
+    """``np.add.reduce`` of the first n values the arrays ``blocks`` yield, float
+    for float, holding at most ``len(chunk)`` >= 128 at once (``_mc_truncated``)."""
+    rest = chunk[:0]  # what is left of the last block
+
+    def walk(n: int):
+        nonlocal rest
+        if n > len(chunk):
+            half = n // 2 - n // 2 % 8
+            return walk(half) + walk(n - half)
+        done = 0
+        while done < n:
+            if not len(rest):
+                rest = next(blocks)
+            m = min(n - done, len(rest))
+            chunk[done : done + m] = rest[:m]
+            rest, done = rest[m:], done + m
+        return np.add.reduce(chunk[:n])
+
+    return float(walk(n))
+
+
 def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, seed: int,
                   lattice: bool = False) -> tuple[float, float]:
     """Importance-sampled estimate of the word integral on [lo, hi]^(k+1), the
     trimmed box of ``eps`` in [0, 1): the mean of ``batches`` batch means of
     the weight W (``_weight_on`` times hi - lo), and their standard deviation
-    over sqrt(batches).
+    over sqrt(batches).  W is at most log-singular, so eps = 0 needs no trim.
 
-    W is at most log-singular, so eps = 0 needs no trim.  A Monte Carlo batch
-    is n = ceil(samples / batches) rows of the seed's stream, drawn in blocks
-    of ``_MC_BLOCK`` rows: the floats do not depend on how it is cut.  Its
-    rows stratify x_0 and put the drawn coordinates on a jittered rank-1
-    lattice over the batch, each row uniform on the cube and each batch mean
-    unbiased (``_batch_blocks``).  With ``lattice`` a batch is the
-    ``_lattice_size`` points of the rank-1 lattice under one uniform shift
-    drawn from that stream, whose mean is unbiased too; z[0] = 1 makes its
-    u_0 a shifted grid, which plays the part of the stratified one.  Only
-    the source of the uniforms differs: ``_weight_on`` folds, smooths, draws
-    and integrates out alike for both.  The call allocates one scratch set
-    of block rows and reuses it for every block, so no block allocates an
-    array.
+    A Monte Carlo batch is n = ceil(samples / batches) rows of the seed's
+    stream (``_batch_blocks``); with ``lattice`` it is the ``_lattice_size``
+    points of a rank-1 lattice under one uniform shift drawn from that
+    stream, z[0] = 1 making its u_0 a shifted grid.  Either batch mean is
+    unbiased, and only the source of the uniforms differs.  A batch is made in
+    blocks of ``_MC_BLOCK`` rows, its floats the same however it is cut.
+
+    A batch mean is the float numpy's ``np.add.reduce`` makes of the n
+    weights as one contiguous array, over n.  That sum is pairwise: under 8
+    values in order, up to 128 in eight interleaved partial sums, and a
+    longer array split after its first n // 2 - (n // 2) % 8 values, each
+    half summed alike.  ``_tree_sum`` walks that tree in order and sums each
+    subtree of at most ``_SUM_CHUNK`` values with ``np.add.reduce`` in one
+    chunk, filled from the blocks, so no array grows with n: the call's
+    scratch is that chunk and one set of block rows, reused for every block.
     The batch means are averaged, not their median taken: W is right-skewed,
     and the median of skewed means is biased low.
     """
@@ -610,19 +615,21 @@ def _mc_truncated(ctx: _WordContext, eps: float, samples: int, batches: int, see
     per_batch = _lattice_size(samples, batches) if lattice else max(1, int(math.ceil(samples / batches)))
     rows = min(per_batch, _MC_BLOCK)
     means = np.empty(batches)
-    vals = np.empty(per_batch)
+    chunk = np.empty(min(per_batch, _SUM_CHUNK))
     x = np.empty((ctx.k + 1, rows))
     work, flags = np.empty((6, rows)), np.empty((2, rows), dtype=bool)
     if lattice:
         uniforms = _lattice_blocks(per_batch, rng.random((batches, ctx.k + 1)))
     else:  # work[-1] and flags[0] are free until the weight is made
         uniforms = _batch_blocks(rng, per_batch, ctx.k, ctx.drawn, batches, work[-1], flags[0])
-    for b in range(batches):
+
+    def blocks(b: int):
         for start in range(0, per_batch, _MC_BLOCK):
             m = min(_MC_BLOCK, per_batch - start)
-            vals[start : start + m] = _weight_on(ctx, uniforms(b, start, m), x[:, :m], lo, hi, work[:, :m],
-                                                 flags[:, :m])
-        means[b] = vals.mean()
+            yield _weight_on(ctx, uniforms(b, start, m), x[:, :m], lo, hi, work[:, :m], flags[:, :m])
+
+    for b in range(batches):
+        means[b] = _tree_sum(per_batch, blocks(b), chunk) / per_batch
     return float(means.mean()) * (hi - lo), float(np.std(means, ddof=1) / math.sqrt(batches)) * (hi - lo)
 
 
@@ -635,44 +642,37 @@ def _plan(k: int, method: str, samples: int, methods=LIMIT_METHODS, members: int
     work, for a task that integrates ``members`` words at once on
     samples x members points (``limit_moment``'s largest class).
 
-    Both methods stop when one batch would exceed ``INTEGRAND_BUDGET``.  A
-    Monte Carlo batch needs its ceil(points / ``BATCHES``) weights, one
-    float64 per row, at most 4k + 10 more per row of one block of
-    ``_MC_BLOCK`` rows (the call's scratch: the stream's uniforms, 1 + d a
-    row for a word that draws d coordinates, half a row for the word that
-    draws nothing (``_batch_blocks``), k + 1 rows of uniforms, k + 1
-    coordinate rows, six work rows, two boolean rows, the row of stratum
-    indices and the batch lattice's residue table, one row for each of the
-    d <= k - 1 drawn coordinates), and the lattice shifts, one int64 per
-    batch for each of at most k - 1 drawn coordinates (the last step's
-    coordinate is never drawn: only checked forms can read it, and those it
-    integrates out).  A lattice batch needs ``LATTICE_POINT_FLOATS`` per
-    point of its n = ``_lattice_size`` points for the construction of its
-    vector, freed before the weights are made, and 3k + 12 per block row:
-    its points' base row and buffer, k + 1 rows each, k + 1 coordinate rows,
-    the work and boolean rows.  CHANGES.md gives the measured peaks of both.
-    n^2 < 2^63 keeps the products of two residues mod n in int64.  The budget
-    keeps a Monte Carlo batch below 2^27 rows, so its residue table's products
-    r z_j < 2^40 are exact in float64.
+    A Monte Carlo batch of n = ceil(points / ``BATCHES``) rows keeps nothing
+    that grows with n (``_mc_truncated``); it stops where its residue table's
+    products r z_j, r < min(n, ``_MC_BLOCK``) and z_j < n, could pass 2^53
+    (``_batch_blocks``).  A lattice batch of n = ``_lattice_size`` points
+    stops over ``INTEGRAND_BUDGET``: ``LATTICE_POINT_FLOATS`` per point to
+    build its vector, and 3k + 12 per block row (CHANGES.md gives the
+    measured peaks); n^2 < 2^63 keeps its residues' products in int64.
     """
     if method not in methods:
         raise InvalidArgumentError(f"unknown method {method!r}: use {' or '.join(methods)}")
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     points = samples * members
-    rows, per_row, per_block, shifts, what = -(-points // BATCHES), 1, 4 * k + 10, BATCHES * (k - 1), "Monte Carlo"
-    if method == "quadrature":
-        per_row, per_block, shifts, what = LATTICE_POINT_FLOATS, 3 * k + 12, 0, "quadrature"
-        if 8 * per_row * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit
-            rows = _lattice_size(points, BATCHES)
-    need = 8 * (per_row * rows + per_block * _MC_BLOCK + shifts)
+    rows = -(-points // BATCHES)
+    per_class = f" per word ({points} for a class of {members} words)" if members > 1 else ""
+    if method != "quadrature":
+        if rows * min(rows, _MC_BLOCK) > 2**53:
+            raise ResourceLimitError(
+                f"Monte Carlo at k={k} with {samples} samples{per_class} needs {rows} rows per batch, over the "
+                f"{2**53 // _MC_BLOCK} at which its batch lattice's residues stay exact in float64"
+            )
+        return
+    if 8 * LATTICE_POINT_FLOATS * rows <= INTEGRAND_BUDGET:  # the prime is sought only for a size that may fit
+        rows = _lattice_size(points, BATCHES)
+    need = 8 * (LATTICE_POINT_FLOATS * rows + (3 * k + 12) * _MC_BLOCK)
     if need > INTEGRAND_BUDGET:
-        per_class = f" per word ({points} for a class of {members} words)" if members > 1 else ""
         raise ResourceLimitError(
-            f"{what} at k={k} with {samples} samples{per_class} needs about {need / 2**30:.3g} GiB per batch, "
+            f"quadrature at k={k} with {samples} samples{per_class} needs about {need / 2**30:.3g} GiB per batch, "
             f"over the {INTEGRAND_BUDGET / 2**30:g} GiB budget"
         )
-    if method == "quadrature" and rows * rows >= 2**63:
+    if rows * rows >= 2**63:
         raise ResourceLimitError(f"a lattice of {rows} points overflows int64 products of its residues")
 
 

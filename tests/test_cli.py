@@ -291,8 +291,8 @@ def test_simulate_over_matrix_budget_exits_1_before_work(tmp_path, capsys):
         (["limit", "--k", "2", "--method", "quadrature", "--samples", "1000000000000000", "--threads", "1"],
          "GiB per batch"),
         (["simulate", "--n", "10", "--reps", "2", "--bins", "1000001", "--threads", "1"], "histogram bins"),
-        (["limit", "--k", "1", "--samples", "1000000000000000", "--threads", "1"], "GiB per batch"),
-        (["moments", "--samples", "1000000000000000"], "GiB per batch"),
+        (["limit", "--k", "1", "--samples", "1000000000000000", "--threads", "1"], "rows per batch"),
+        (["moments", "--samples", "1000000000000000"], "rows per batch"),
     ],
     ids=[
         "moments-words-cap", "moments-quadrature-cap", "limit-quadrature-budget", "simulate-bins-cap",

@@ -589,6 +589,26 @@ def test_monte_carlo_floats_do_not_depend_on_the_block_length(monkeypatch, kind)
                 assert _mc_truncated(ctx, 0.0, 2002, 2, 17) == whole, word
 
 
+@pytest.mark.parametrize("chunk", [128, 8192])
+def test_tree_sum_is_numpys_pairwise_sum(chunk):
+    # a batch mean sums its weights along numpy's own pairwise tree, one
+    # chunk at a time, from blocks that do not line up with the chunks: float
+    # for float np.add.reduce of the whole array, so a numpy release that
+    # changes its tree fails here, not by moving the Monte Carlo's floats.
+    # Signed values over 40 binary orders cancel, so a sum in another order
+    # rounds otherwise: the blocks' own sums, added in order, miss it, and
+    # so does a tree split at n // 2
+    rng, missed = np.random.default_rng(11), []
+    for n in (1, 7, 8, 127, 128, 129, 8191, 8192, 8193, 16385, 250_000):
+        values = rng.standard_normal(n) * 2.0 ** rng.integers(0, 40, n)
+        whole = np.add.reduce(values)
+        for block in (7, 8191):
+            blocks = (values[start : start + block] for start in range(0, n, block))
+            assert limits_module._tree_sum(n, blocks, np.empty(chunk)) == whole, (n, block)
+        missed.append(sum(np.add.reduce(values[start : start + 8191]) for start in range(0, n, 8191)) != whole)
+    assert any(missed)
+
+
 @pytest.mark.parametrize("kind", [MatrixKind.T, MatrixKind.H])
 def test_the_fold_keeps_the_weight_of_the_words_that_draw_nothing(kind):
     # _weight_on folds u_0 onto [0, 1/2] for a word that draws nothing.
@@ -684,52 +704,49 @@ def test_weights_stay_finite_at_the_extreme_uniforms(kind):
 
 
 def test_monte_carlo_budget_guard(monkeypatch):
-    # 10^15 samples would allocate a batch of 6.25e13 rows: refused before any
-    # realization or draw, where it used to end in numpy's _ArrayMemoryError
+    # 10^15 samples make a batch of 6.25e13 rows, whose residue table's
+    # products r z_j would pass 2^53: refused before any realization or draw
     def no_work(*args, **kwargs):
         raise AssertionError("an over-budget sample count must be refused before any work")
 
     monkeypatch.setattr(limits_module, "_mc_truncated", no_work)
     monkeypatch.setattr(limits_module, "simulate_spectra", no_work)
-    huge = 10**15
-    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+    huge, message = 10**15, r"needs 62500000000000 rows per batch, over the \d+ at which .* exact in float64"
+    with pytest.raises(ResourceLimitError, match=message):
         truncated_word_moment(AA, MatrixKind.T, 0.1, samples=huge)
-    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+    with pytest.raises(ResourceLimitError, match=message):
         limit_word_moment(AA, MatrixKind.BT, samples=huge)
-    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+    with pytest.raises(ResourceLimitError, match="rows per batch"):
         limit_moment(2, MatrixKind.BT, samples=huge, threads=1)
-    with pytest.raises(ResourceLimitError, match="GiB per batch"):
+    with pytest.raises(ResourceLimitError, match="rows per batch"):
         compare_empirical_limit(MatrixKind.BT, 10, 2, 1, 0, samples=huge)
-    # the edge at k = 1: 1 float64 per row of a batch and 14 per row of one
-    # block, 2^30 bytes in all
-    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 14 * limits_module._MC_BLOCK
-    limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch)
-    with pytest.raises(ResourceLimitError):
-        limits_module._plan(1, "mc-ladder", limits_module.BATCHES * per_batch + 1)
-    # and at k = 3, 22 per row of one block (two rows of the residue table,
-    # three of the stream) and the batches' shifts, two int64 each
-    per_batch = limits_module.INTEGRAND_BUDGET // 8 - 22 * limits_module._MC_BLOCK - 2 * limits_module.BATCHES
-    limits_module._plan(3, "mc-ladder", limits_module.BATCHES * per_batch)
-    with pytest.raises(ResourceLimitError):
-        limits_module._plan(3, "mc-ladder", limits_module.BATCHES * per_batch + 1)
+    # the edge, the same at every k: n rows a batch with n min(n, _MC_BLOCK)
+    # <= 2^53, so the products r z_j < n _MC_BLOCK are exact
+    per_batch = 2**53 // limits_module._MC_BLOCK
+    for k in (1, 3):
+        limits_module._plan(k, "mc-ladder", limits_module.BATCHES * per_batch)
+        with pytest.raises(ResourceLimitError, match=f"{per_batch + 1} rows per batch, over the {per_batch} "):
+            limits_module._plan(k, "mc-ladder", limits_module.BATCHES * per_batch + 1)
     # the default sample count passes at every k the words enumerate
     for k in range(1, MAX_K + 1):
         limits_module._plan(k, "mc-ladder", limits_module.DEFAULT_SAMPLES)
 
 
 def test_monte_carlo_guard_bounds_the_peak():
-    # one call's tracemalloc peak against 1 float64 per row of a batch, 4k + 10
-    # per row of one block, no longer than the batch (_plan counts a whole
-    # block; the residue table takes one row for each drawn coordinate, at
-    # most k - 1, and the stream 1 + d uniforms a row, at most k), and one
-    # int64 per batch and drawn coordinate for the lattice shifts, at a batch
-    # below one block and at one of several; the words differ in how many
-    # forms and draws they make, so every word up to k = 3 and a fifth of
-    # those at k = 4
+    # one call's tracemalloc peak is flat in samples: 4k + 10 float64 per row
+    # of one block, no longer than the batch (the residue table takes one row
+    # for each drawn coordinate, at most k - 1, and the stream 1 + d uniforms
+    # a row, at most k), the chunk of the batch's pairwise sum, one int64 per
+    # batch and drawn coordinate for the lattice shifts, and no term per row
+    # of the batch, at a batch below one block, at one of several and at one
+    # of 24; the words differ in how many forms and draws they make, so
+    # every word up to k = 3 and a fifth of those at k = 4, and at 200,000
+    # rows, where only the batch is longer, the first and last word of each k
     _mc_truncated(_WordContext(AA, MatrixKind.T), 0.0, 200, 2, 0)  # numpy's one-time allocations
-    for kind, rows, k in itertools.product((MatrixKind.T, MatrixKind.H), (1000, 20_000), (1, 2, 3, 4)):
-        block = min(rows, limits_module._MC_BLOCK)
-        for word in enumerate_pair_matched_words(k)[:: 5 if k == 4 else 1]:
+    for kind, rows, k in itertools.product((MatrixKind.T, MatrixKind.H), (1000, 20_000, 200_000), (1, 2, 3, 4)):
+        block, chunk = min(rows, limits_module._MC_BLOCK), min(rows, limits_module._SUM_CHUNK)
+        words = enumerate_pair_matched_words(k)
+        for word in words[:: 5 if k == 4 else 1] if rows < 100_000 else words[:: max(1, len(words) - 1)]:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -738,7 +755,7 @@ def test_monte_carlo_guard_bounds_the_peak():
             finally:
                 tracemalloc.stop()
             shifts = 2 * (k - 1)  # the lattice shifts of both batches
-            assert peak <= 8 * (rows + (4 * k + 10) * block + shifts), (kind, rows, word, peak / 8)
+            assert peak <= 8 * ((4 * k + 10) * block + chunk + shifts), (kind, rows, word, peak / 8)
 
 
 # --- limiting moments ------------------------------------------------------
@@ -921,7 +938,7 @@ def test_limit_moment_refuses_before_fan_out(monkeypatch, method, samples):
         limit_moment(2, MatrixKind.T, method, samples=samples, threads=2)
 
 
-@pytest.mark.parametrize("method, samples", [("mc-ladder", 10**9), ("quadrature", 10**8)])
+@pytest.mark.parametrize("method, samples", [("mc-ladder", 10**13), ("quadrature", 10**8)])
 def test_limit_moment_refuses_a_class_over_budget_before_fan_out(monkeypatch, method, samples):
     # a class task integrates samples x its size points on one member, so at
     # k = 3, whose largest class has 6 words, a request whose batch fits per
@@ -934,7 +951,8 @@ def test_limit_moment_refuses_a_class_over_budget_before_fan_out(monkeypatch, me
     for name in ("parallel_map", "_mc_truncated", "simulate_spectra", "_classes", "enumerate_pair_matched_words"):
         monkeypatch.setattr(limits_module, name, no_fan_out)
     # the message names the samples asked for and the class's points apart
-    message = rf"at k=3 with {samples} samples per word \({6 * samples} for a class of 6 words\) needs .* GiB per batch"
+    needs = "rows" if method == "mc-ladder" else "GiB"  # a Monte Carlo batch's rows, a lattice's memory
+    message = rf"at k=3 with {samples} samples per word \({6 * samples} for a class of 6 words\) needs .* {needs} per"
     with pytest.raises(ResourceLimitError, match=message):
         limit_moment(3, MatrixKind.BT, method, samples=samples, threads=2)
     with pytest.raises(ResourceLimitError, match=message):
@@ -1181,7 +1199,7 @@ def test_batch_lattice_multipliers_are_units_with_small_quotients():
     # large quotient early (frac(g^-4) = [0; 1, 1, 1, 7, 207, ...] at d = 6)
     # that no unit within 200 of it escapes at large n
     _batch_lattice, largest_quotient = limits_module._batch_lattice, limits_module._largest_quotient
-    ceiling = limits_module.INTEGRAND_BUDGET // 8 - 14 * limits_module._MC_BLOCK  # _plan's largest batch, at k = 1
+    ceiling = 134_103_054  # near 2^27, the top of the sizes measured above
     bounds = {1: 6, 2: 12}
     for n, d in itertools.product((1, 2, 3, 8191, 125_000, 125_003, ceiling), range(1, MAX_K)):
         z = _batch_lattice(n, d)
@@ -1199,9 +1217,9 @@ def test_batch_lattice_residues_are_exact_at_the_budget_ceiling():
     # the residues come from a table of r z mod n plus a per-block offset in
     # Python ints, so they are exact where i z passes 2^53, which float64
     # products of i and z would round: the last block of a batch at _plan's
-    # largest size, drawn from a generator the test replays, one row of
-    # 1 + d = 2 uniforms a point
-    n = limits_module.INTEGRAND_BUDGET // 8 - 14 * limits_module._MC_BLOCK
+    # largest size, where r z comes within a block row of 2^53, drawn from a
+    # generator the test replays, one row of 1 + d = 2 uniforms a point
+    n = 2**53 // limits_module._MC_BLOCK
     block = limits_module._MC_BLOCK
     start = (n - 1) // block * block
     m = n - start
